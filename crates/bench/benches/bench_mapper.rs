@@ -3,22 +3,23 @@
 //! The search benches compare three pipelines over the same mapspace and
 //! model:
 //!
-//! * `search_unpruned`  — the pre-streaming baseline: every candidate
-//!   runs the full dense→sparse→uarch pipeline (no capacity precheck);
-//! * `search_pruned`    — streaming candidates through
+//! * `search_tight_unpruned` — the pre-streaming baseline: every
+//!   candidate runs the full dense→sparse→uarch pipeline (no capacity
+//!   precheck);
+//! * `search_tight_pruned`   — streaming candidates through
 //!   `Model::precheck`, skipping the 3-step pipeline for tiles that
-//!   cannot fit (the sequential production path);
-//! * `search_parallel`  — the pruned pipeline fanned out over all cores
-//!   with the deterministic reduction.
+//!   cannot fit (`Exec::Threads(Some(1))`, the sequential scan);
+//! * `search_tight_parallel` — the pruned pipeline fanned out over all
+//!   cores (`Exec::Threads(None)`) with the deterministic reduction.
 //!
-//! On a multi-core machine `search_parallel` vs `search_unpruned` is the
+//! On a multi-core machine parallel vs unpruned is the
 //! headline throughput ratio; on one core the pruning alone carries the
 //! speedup.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sparseloop_core::{Model, Objective, Workload};
 use sparseloop_designs::fig1;
-use sparseloop_mapping::{factorizations, Mapper, Mapping, Mapspace};
+use sparseloop_mapping::{factorizations, Exec, Mapper, Mapping, Mapspace};
 use sparseloop_workloads::spmspm;
 
 fn bench_mapper(c: &mut Criterion) {
@@ -37,8 +38,10 @@ fn bench_mapper(c: &mut Criterion) {
         dp.arch.clone(),
         dp.safs.clone(),
     );
+    let sequential = Exec::Threads(Some(1));
     c.bench_function("search_exhaustive_200", |b| {
-        b.iter(|| model.search(&space, Mapper::Exhaustive { limit: 200 }, Objective::Edp))
+        let mapper = Mapper::Exhaustive { limit: 200 };
+        b.iter(|| model.search(&space, mapper, Objective::Edp, sequential))
     });
 
     // capacity-constrained space: most candidates have tiles that cannot
@@ -49,17 +52,14 @@ fn bench_mapper(c: &mut Criterion) {
 
     // baseline: full pipeline on every candidate (no precheck)
     c.bench_function("search_tight_unpruned", |b| {
-        b.iter(|| {
-            mapper.search(&space_big, |m: &Mapping| {
-                model_big.evaluate(m).ok().map(|e| e.edp)
-            })
-        })
+        let unpruned = |m: &Mapping| model_big.evaluate(m).ok().map(|e| e.edp);
+        b.iter(|| mapper.search(&space_big, &unpruned, sequential))
     });
     c.bench_function("search_tight_pruned", |b| {
-        b.iter(|| model_big.search(&space_big, mapper, Objective::Edp))
+        b.iter(|| model_big.search(&space_big, mapper, Objective::Edp, sequential))
     });
     c.bench_function("search_tight_parallel", |b| {
-        b.iter(|| model_big.search_parallel(&space_big, mapper, Objective::Edp, None))
+        b.iter(|| model_big.search(&space_big, mapper, Objective::Edp, Exec::Threads(None)))
     });
 }
 

@@ -16,14 +16,14 @@
 //!
 //! Every request must still complete (no unresolved request, non-zero
 //! exit otherwise) and its merged winners must be **bit-identical** to
-//! the in-process `run_sharded` reference. CI runs this in release
+//! the in-process `Scenario::run_exec` (`Exec::Shards`) reference. CI runs this in release
 //! mode; a supervision regression that loses or changes a single
 //! winner bit under any schedule cannot land.
 
 use sparseloop_bench::{header, row, timed};
 use sparseloop_core::{EvalSession, JobOutcome};
 use sparseloop_designs::{Experiment, Scenario};
-use sparseloop_mapping::Mapspace;
+use sparseloop_mapping::{Exec, Mapspace};
 use sparseloop_serve::{
     DiePoint, FaultPlan, HedgeConfig, HostConfig, HostStats, ProcessSpawner, ScenarioReply,
     ShardHost, WorkerFault,
@@ -401,8 +401,11 @@ fn main() {
             let scenario = sparseloop_spec::compile_str(&text)
                 .expect("smoke spec compiles")
                 .into_scenario();
-            let reply =
-                sparseloop_serve::scenario_reply(scenario.run_sharded(&EvalSession::new(), shards));
+            let reply = sparseloop_serve::scenario_reply(scenario.run_exec(
+                &EvalSession::new(),
+                Exec::Shards(shards),
+                None,
+            ));
             (shards, reply)
         })
         .collect();

@@ -21,6 +21,7 @@
 
 use sparseloop_bench::{header, measure_metrics_overhead, row, write_metrics_snapshot};
 use sparseloop_core::EvalSession;
+use sparseloop_mapping::Exec;
 use sparseloop_obs::{MetricsSnapshot, ObsHub, SpanKind};
 use sparseloop_serve::{
     EvalService, FaultPlan, HostConfig, ServeConfig, ServeRequest, ShardHost, SubmitError,
@@ -186,7 +187,11 @@ fn fleet_phase(failures: &mut Vec<String>) -> MetricsSnapshot {
     let registry = sparseloop_designs::ScenarioRegistry::standard();
     let scenario = registry.expect("fig1_format_tradeoff");
     let text = sparseloop_spec::emit_scenario(scenario);
-    let reference = sparseloop_serve::scenario_reply(scenario.run_sharded(&EvalSession::new(), 2));
+    let reference = sparseloop_serve::scenario_reply(scenario.run_exec(
+        &EvalSession::new(),
+        Exec::Shards(2),
+        None,
+    ));
     let hub = ObsHub::new();
     // a fault-free run plus one seeded schedule, both publishing into
     // the same hub; expected counter values are the *sum* of each

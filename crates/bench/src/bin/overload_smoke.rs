@@ -18,6 +18,7 @@
 //!   two books, zero drift.
 
 use sparseloop_core::EvalSession;
+use sparseloop_mapping::Exec;
 use sparseloop_obs::ObsHub;
 use sparseloop_serve::proc::{WorkerEvent, WorkerHandle};
 use sparseloop_serve::{
@@ -66,7 +67,7 @@ fn worker_bin() -> PathBuf {
 
 fn reference_reply(text: &str) -> ScenarioReply {
     let scenario = sparseloop_spec::compile_str(text).unwrap().into_scenario();
-    scenario_reply(scenario.run_sharded(&EvalSession::new(), SHARDS))
+    scenario_reply(scenario.run_exec(&EvalSession::new(), Exec::Shards(SHARDS), None))
 }
 
 fn reply_mismatch(got: &ScenarioReply, want: &ScenarioReply) -> Option<String> {

@@ -12,7 +12,7 @@
 use sparseloop_bench::{fnum, timed};
 use sparseloop_core::{EvalJob, JobPlan, Objective, Workload};
 use sparseloop_designs::ScenarioRegistry;
-use sparseloop_mapping::{Mapper, Mapspace};
+use sparseloop_mapping::{Exec, Mapper, Mapspace};
 use sparseloop_serve::{
     EvalService, FleetPool, FleetPoolConfig, HostConfig, ProcessSpawner, ServeConfig, ServeRequest,
     ShardHost,
@@ -156,9 +156,10 @@ fn main() {
     println!("\n== worker pipeline delta (sequential batch, shared session) ==");
     let jobs: Vec<EvalJob> = (0..8).map(distinct_job).collect();
     let session = sparseloop_core::EvalSession::new();
-    let _ = session.search_batch(&jobs, Some(1)); // warm shared caches
+    let _ = session.search_batch(&jobs, Exec::Threads(Some(1)), None); // warm shared caches
     let (ref_results, ref_wall_s) = timed(|| session.search_batch_from_scratch(&jobs, Some(1)));
-    let (inc_results, inc_wall_s) = timed(|| session.search_batch(&jobs, Some(1)));
+    let (inc_results, inc_wall_s) =
+        timed(|| session.search_batch(&jobs, Exec::Threads(Some(1)), None));
     for (a, b) in ref_results.iter().zip(&inc_results) {
         let (a, b) = (a.as_ref().expect("job ok"), b.as_ref().expect("job ok"));
         assert_eq!(a.mapping, b.mapping, "pipeline parity");

@@ -23,6 +23,7 @@
 use sparseloop_bench::{fnum, header, row};
 use sparseloop_core::EvalSession;
 use sparseloop_designs::{Scenario, ScenarioOutcome, ScenarioRegistry};
+use sparseloop_mapping::Exec;
 use sparseloop_obs::ObsHub;
 use sparseloop_serve::{EvalService, HostConfig, ServeConfig, ShardHost, ThreadSpawner};
 use sparseloop_spec::{emit_scenario, load_file, SpecRegistryExt};
@@ -180,7 +181,7 @@ fn run(args: &[String]) -> ExitCode {
     };
     let session = EvalSession::new();
     let outcome = match shards {
-        Some(s) => scenario.run_sharded(&session, s),
+        Some(s) => scenario.run_exec(&session, Exec::Shards(s), None),
         None => scenario.run(&session, threads),
     };
     print_outcome(&scenario, &outcome);

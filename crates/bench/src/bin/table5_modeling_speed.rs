@@ -133,41 +133,45 @@ fn write_mapper_bench(
     deltas: &[sparseloop_bench::EvalDelta],
 ) -> String {
     use sparseloop_core::Objective;
+    use sparseloop_mapping::Exec;
 
     let (model, space, mapper) = sparseloop_bench::tight_search_scenario();
 
     // warm the model's format/density caches so all variants compare
     // steady-state throughput
-    let _ = model.search_with_stats(&space, mapper, Objective::Edp);
+    let sequential = Exec::Threads(Some(1));
+    let _ = model.search(&space, mapper, Objective::Edp, sequential);
 
-    let (seq, seq_secs) = timed(|| {
-        model
-            .search_with_stats(&space, mapper, Objective::Edp)
-            .expect("search succeeds")
-    });
-    let stats = seq.2;
-    let (unpruned, unpruned_secs) = timed(|| {
-        mapper
-            .search(&space, |m: &sparseloop_mapping::Mapping| {
-                model.evaluate(m).ok().map(|e| e.edp)
-            })
-            .expect("search succeeds")
-    });
+    let ((seq, stats), seq_secs) =
+        timed(|| model.search(&space, mapper, Objective::Edp, sequential));
+    let (seq_mapping, seq_eval) = seq.expect("search succeeds");
+    let unpruned_objective =
+        |m: &sparseloop_mapping::Mapping| model.evaluate(m).ok().map(|e| e.edp);
+    let ((unpruned, unpruned_stats), unpruned_secs) =
+        timed(|| mapper.search(&space, &unpruned_objective, sequential));
+    assert!(unpruned.is_some(), "search succeeds");
     // the pruned sequential path through the from-scratch reference
     // pipeline (pre-arena behavior) — the "before" of the tracked
     // sequential_pruned row
-    let (seq_ref, seq_ref_secs) = timed(|| {
-        mapper
-            .search_pruned(&space, &model.evaluator_from_scratch(Objective::Edp))
-            .expect("search succeeds")
+    let ((seq_ref, seq_ref_stats), seq_ref_secs) = timed(|| {
+        mapper.search(
+            &space,
+            &model.evaluator_from_scratch(Objective::Edp),
+            sequential,
+        )
     });
-    assert_eq!(seq.1.edp, seq_ref.objective, "reference/incremental parity");
-    let (par, par_secs) = timed(|| {
-        model
-            .search_parallel_with_stats(&space, mapper, Objective::Edp, None)
-            .expect("search succeeds")
-    });
-    assert_eq!(seq.0, par.0, "parallel/sequential parity");
+    let seq_ref = seq_ref.expect("search succeeds");
+    assert_eq!(
+        seq_eval.edp, seq_ref.objective,
+        "reference/incremental parity"
+    );
+    let ((par, _), par_secs) =
+        timed(|| model.search(&space, mapper, Objective::Edp, Exec::Threads(None)));
+    assert_eq!(
+        seq_mapping,
+        par.expect("search succeeds").0,
+        "parallel/sequential parity"
+    );
 
     let scenario_rows: Vec<String> = outcomes
         .iter()
@@ -244,8 +248,8 @@ fn write_mapper_bench(
         seq_ref_secs,
         seq_secs,
         par_secs,
-        unpruned.stats.generated as f64 / unpruned_secs.max(1e-12),
-        seq_ref.stats.generated as f64 / seq_ref_secs.max(1e-12),
+        unpruned_stats.generated as f64 / unpruned_secs.max(1e-12),
+        seq_ref_stats.generated as f64 / seq_ref_secs.max(1e-12),
         stats.generated as f64 / seq_secs.max(1e-12),
         stats.generated as f64 / par_secs.max(1e-12),
         std::thread::available_parallelism()

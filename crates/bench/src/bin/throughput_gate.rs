@@ -33,6 +33,7 @@
 use sparseloop_bench::{measure_eval_delta, timed};
 use sparseloop_core::Objective;
 use sparseloop_designs::ScenarioRegistry;
+use sparseloop_mapping::Exec;
 
 /// Repetitions per measured quantity (best is kept).
 const REPS: usize = 5;
@@ -62,16 +63,15 @@ fn main() {
 
     // -- tracked exhaustive scenario: pruned sequential path --
     let (model, space, mapper) = sparseloop_bench::tight_search_scenario();
-    let _ = model.search_with_stats(&space, mapper, Objective::Edp); // warm caches
+    let sequential = Exec::Threads(Some(1));
+    let _ = model.search(&space, mapper, Objective::Edp, sequential); // warm caches
     let mut best = f64::MAX;
     let mut generated = 0usize;
     for _ in 0..REPS {
-        let (result, secs) = timed(|| {
-            model
-                .search_with_stats(&space, mapper, Objective::Edp)
-                .expect("tight scenario finds a mapping")
-        });
-        generated = result.2.generated;
+        let ((winner, stats), secs) =
+            timed(|| model.search(&space, mapper, Objective::Edp, sequential));
+        assert!(winner.is_some(), "tight scenario finds a mapping");
+        generated = stats.generated;
         best = best.min(secs);
     }
     let measured = generated as f64 / best.max(1e-12);

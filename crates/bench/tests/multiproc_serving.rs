@@ -2,14 +2,14 @@
 //! worker processes: the `sparseloop-shard-worker` binary (resolved via
 //! `CARGO_BIN_EXE_*`, so cargo builds it before these tests run) is
 //! spawned under a [`ShardHost`] and must produce merged winners
-//! bit-identical to in-process `run_sharded` — with and without
+//! bit-identical to in-process `Scenario::run_exec` — with and without
 //! injected faults. The full failure matrix lives in the `fault_smoke`
 //! binary; these tests keep the process boundary itself under tier-1
 //! coverage.
 
 use sparseloop_core::EvalSession;
 use sparseloop_designs::{Experiment, Scenario};
-use sparseloop_mapping::Mapspace;
+use sparseloop_mapping::{Exec, Mapspace};
 use sparseloop_obs::ObsHub;
 use sparseloop_serve::{
     scenario_reply, DiePoint, FaultPlan, FleetPool, FleetPoolConfig, HostConfig, HostError,
@@ -35,7 +35,7 @@ fn small_scenario() -> Scenario {
 
 fn reference_reply(text: &str, shards: usize) -> ScenarioReply {
     let scenario = sparseloop_spec::compile_str(text).unwrap().into_scenario();
-    scenario_reply(scenario.run_sharded(&EvalSession::new(), shards))
+    scenario_reply(scenario.run_exec(&EvalSession::new(), Exec::Shards(shards), None))
 }
 
 fn assert_bit_identical(got: &ScenarioReply, want: &ScenarioReply, tag: &str) {

@@ -11,7 +11,7 @@ use sparseloop_arch::Architecture;
 use sparseloop_density::MemoStats;
 use sparseloop_energy::EnergyTable;
 use sparseloop_mapping::{
-    CandidateEvaluator, ChangeDepth, Mapper, Mapping, MappingError, Mapspace, SearchStats,
+    CandidateEvaluator, ChangeDepth, Exec, Mapper, Mapping, MappingError, Mapspace, SearchStats,
     WorkerEvaluator,
 };
 use sparseloop_tensor::einsum::TensorId;
@@ -532,136 +532,23 @@ impl Model {
         FromScratchEvaluator(self.evaluator(objective))
     }
 
-    /// [`search_parallel_counted`](Model::search_parallel_counted)
-    /// through the from-scratch reference pipeline (see
-    /// [`evaluator_from_scratch`](Model::evaluator_from_scratch)).
-    pub fn search_parallel_counted_from_scratch(
-        &self,
-        space: &Mapspace,
-        mapper: Mapper,
-        objective: Objective,
-        threads: Option<usize>,
-    ) -> (Option<(Mapping, Evaluation)>, SearchStats) {
-        let (result, stats) =
-            mapper.par_search_counted(space, &self.evaluator_from_scratch(objective), threads);
-        let outcome = result.map(|r| {
-            let eval = self
-                .evaluate(&r.mapping)
-                .expect("winning mapping must re-evaluate");
-            (r.mapping, eval)
-        });
-        (outcome, stats)
-    }
-
-    /// Searches a mapspace for the best mapping under `objective`.
-    /// Returns `None` if no candidate mapping is valid.
+    /// Searches a mapspace for the best mapping under `objective`,
+    /// walking the candidate stream as `exec` says — every mode returns
+    /// the same winner and counters (see [`Mapper::search`]).
     ///
     /// Candidates stream out of the mapspace lazily and pass through the
     /// capacity precheck before the full pipeline runs (see
-    /// [`Model::precheck`]).
+    /// [`Model::precheck`]); the winner is re-evaluated into a full
+    /// [`Evaluation`]. The counters are returned even when no candidate
+    /// is valid: a fruitless search still walked its stream.
     pub fn search(
         &self,
         space: &Mapspace,
         mapper: Mapper,
         objective: Objective,
-    ) -> Option<(Mapping, Evaluation)> {
-        self.search_with_stats(space, mapper, objective)
-            .map(|(mapping, eval, _)| (mapping, eval))
-    }
-
-    /// Like [`search`](Model::search), also returning the
-    /// generated/pruned/evaluated/invalid counters of the run.
-    pub fn search_with_stats(
-        &self,
-        space: &Mapspace,
-        mapper: Mapper,
-        objective: Objective,
-    ) -> Option<(Mapping, Evaluation, SearchStats)> {
-        let result = mapper.search_pruned(space, &self.evaluator(objective))?;
-        let eval = self
-            .evaluate(&result.mapping)
-            .expect("winning mapping must re-evaluate");
-        Some((result.mapping, eval, result.stats))
-    }
-
-    /// Parallel mapspace search: same winner as [`search`](Model::search)
-    /// — bit-identical `(mapping, objective)` thanks to the mapper's
-    /// deterministic `(value, candidate index)` reduction — using
-    /// `threads` workers (default: all available cores).
-    pub fn search_parallel(
-        &self,
-        space: &Mapspace,
-        mapper: Mapper,
-        objective: Objective,
-        threads: Option<usize>,
-    ) -> Option<(Mapping, Evaluation)> {
-        self.search_parallel_with_stats(space, mapper, objective, threads)
-            .map(|(mapping, eval, _)| (mapping, eval))
-    }
-
-    /// Like [`search_parallel`](Model::search_parallel), also returning
-    /// the run's counters.
-    pub fn search_parallel_with_stats(
-        &self,
-        space: &Mapspace,
-        mapper: Mapper,
-        objective: Objective,
-        threads: Option<usize>,
-    ) -> Option<(Mapping, Evaluation, SearchStats)> {
-        let (outcome, stats) = self.search_parallel_counted(space, mapper, objective, threads);
-        outcome.map(|(mapping, eval)| (mapping, eval, stats))
-    }
-
-    /// Parallel search returning the run's counters even when no
-    /// candidate is valid: a fruitless search still walked its stream,
-    /// and batch throughput accounting wants that work visible.
-    pub fn search_parallel_counted(
-        &self,
-        space: &Mapspace,
-        mapper: Mapper,
-        objective: Objective,
-        threads: Option<usize>,
+        exec: Exec,
     ) -> (Option<(Mapping, Evaluation)>, SearchStats) {
-        let (result, stats) = mapper.par_search_counted(space, &self.evaluator(objective), threads);
-        let outcome = result.map(|r| {
-            let eval = self
-                .evaluate(&r.mapping)
-                .expect("winning mapping must re-evaluate");
-            (r.mapping, eval)
-        });
-        (outcome, stats)
-    }
-
-    /// Sharded mapspace search: partitions the candidate stream into
-    /// `shards` disjoint, collectively exhaustive sub-streams (split on
-    /// the outermost factorization dimensions, see [`Mapspace::shards`])
-    /// evaluated concurrently, merging shard winners with the same
-    /// deterministic `(objective, candidate position)` reduction as
-    /// [`search_parallel`](Model::search_parallel) — results are
-    /// bit-identical to the unsharded searches at any shard count.
-    pub fn search_sharded(
-        &self,
-        space: &Mapspace,
-        mapper: Mapper,
-        objective: Objective,
-        shards: usize,
-    ) -> Option<(Mapping, Evaluation)> {
-        let (outcome, _) = self.search_sharded_counted(space, mapper, objective, shards);
-        outcome
-    }
-
-    /// Like [`search_sharded`](Model::search_sharded), returning the
-    /// run's counters even when no candidate is valid (see
-    /// [`search_parallel_counted`](Model::search_parallel_counted)).
-    pub fn search_sharded_counted(
-        &self,
-        space: &Mapspace,
-        mapper: Mapper,
-        objective: Objective,
-        shards: usize,
-    ) -> (Option<(Mapping, Evaluation)>, SearchStats) {
-        let (result, stats) =
-            mapper.search_sharded_counted(space, &self.evaluator(objective), shards);
+        let (result, stats) = mapper.search(space, &self.evaluator(objective), exec);
         let outcome = result.map(|r| {
             let eval = self
                 .evaluate(&r.mapping)
@@ -678,8 +565,7 @@ impl Model {
     /// Merging every shard's return through
     /// [`sparseloop_mapping::merge_shard_results`] and re-evaluating the
     /// merged winner (what a supervising parent does) reproduces
-    /// [`search_sharded_counted`](Model::search_sharded_counted)
-    /// bit-identically.
+    /// [`search`](Model::search) bit-identically.
     pub fn search_shard_counted(
         &self,
         space: &Mapspace,
@@ -689,17 +575,6 @@ impl Model {
         shards: usize,
     ) -> (Option<sparseloop_mapping::ShardWinner>, SearchStats) {
         mapper.search_shard_counted(space, &self.evaluator(objective), shard, shards)
-    }
-
-    /// Convenience: builds the default all-temporal mapspace for this
-    /// model and searches it.
-    pub fn search_default(
-        &self,
-        mapper: Mapper,
-        objective: Objective,
-    ) -> Option<(Mapping, Evaluation)> {
-        let space = Mapspace::all_temporal(self.workload.einsum(), &self.arch);
-        self.search(&space, mapper, objective)
     }
 }
 
@@ -910,8 +785,15 @@ mod tests {
     #[test]
     fn search_finds_valid_mapping() {
         let m = model(0.5);
+        let space = Mapspace::all_temporal(m.workload().einsum(), m.arch());
         let (best, eval) = m
-            .search_default(Mapper::Exhaustive { limit: 2000 }, Objective::Edp)
+            .search(
+                &space,
+                Mapper::Exhaustive { limit: 2000 },
+                Objective::Edp,
+                Exec::Threads(None),
+            )
+            .0
             .unwrap();
         best.validate(m.workload().einsum(), m.arch()).unwrap();
         assert!(eval.edp > 0.0);
@@ -925,7 +807,13 @@ mod tests {
         let space = Mapspace::all_temporal(m.workload().einsum(), m.arch())
             .with_spatial_dims(1, vec![DimId(1)]);
         let (_, best) = m
-            .search(&space, Mapper::Exhaustive { limit: 20_000 }, Objective::Edp)
+            .search(
+                &space,
+                Mapper::Exhaustive { limit: 20_000 },
+                Objective::Edp,
+                Exec::Threads(Some(1)),
+            )
+            .0
             .unwrap();
         let candidate = m.evaluate(&mapping());
         if let Ok(c) = candidate {

@@ -20,7 +20,7 @@
 //! Results are unchanged by construction — both caches memoize pure
 //! functions of their keys — so [`EvalSession::search_batch`] returns
 //! bit-identical winners and [`SearchStats`] to running
-//! [`Model::search_parallel_with_stats`] per layer; only the number of
+//! [`Model::search`] per layer; only the number of
 //! underlying analyses shrinks (observable via
 //! [`EvalSession::format_stats`]). Parallel search inside the session
 //! reuses the persistent `rayon` worker pool, so a batch of many small
@@ -33,7 +33,7 @@ use crate::workload::Workload;
 use sparseloop_arch::Architecture;
 use sparseloop_density::{DensityKey, DensityModel, MemoStats, Memoized};
 use sparseloop_format::TensorFormat;
-use sparseloop_mapping::{Mapper, Mapping, Mapspace, SearchStats};
+use sparseloop_mapping::{Exec, Mapper, Mapping, Mapspace, SearchResult, SearchStats};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -66,6 +66,47 @@ pub struct EvalJob {
     pub safs: SafSpec,
     /// Fixed mapping or mapspace search.
     pub plan: JobPlan,
+}
+
+impl EvalJob {
+    /// Resolves this job on `model` (built for the job's workload,
+    /// architecture and SAFs): a fixed mapping is evaluated directly; a
+    /// search plan's winner, as returned by `search` — a whole search,
+    /// or the merge of every shard's part — is re-evaluated into the
+    /// outcome, and an empty search becomes
+    /// [`JobError::NoValidCandidate`] with the walk's counters.
+    pub fn outcome(
+        &self,
+        model: &Model,
+        search: impl FnOnce(&Mapspace, Mapper, Objective) -> (Option<SearchResult>, SearchStats),
+    ) -> Result<JobOutcome, JobError> {
+        let (mapping, stats) = match &self.plan {
+            JobPlan::Fixed(mapping) => (
+                mapping.clone(),
+                SearchStats {
+                    generated: 1,
+                    evaluated: 1,
+                    ..SearchStats::default()
+                },
+            ),
+            JobPlan::Search {
+                space,
+                mapper,
+                objective,
+            } => match search(space, *mapper, *objective) {
+                (Some(winner), stats) => (winner.mapping, stats),
+                (None, stats) => return Err(JobError::NoValidCandidate { stats }),
+            },
+        };
+        model
+            .evaluate(&mapping)
+            .map(|eval| JobOutcome {
+                mapping,
+                eval,
+                stats,
+            })
+            .map_err(JobError::Eval)
+    }
 }
 
 /// Result of one job of a batch.
@@ -275,28 +316,36 @@ impl EvalSession {
     ///
     /// Jobs themselves run concurrently on the persistent worker pool
     /// (so a batch of fixed-mapping evaluations parallelizes too), and
-    /// search jobs additionally fan their candidate stream out over
-    /// `threads` workers via [`Model::search_parallel_with_stats`].
-    /// Results are per-job and index-aligned with `jobs`: each job's
-    /// winner, objective and [`SearchStats`] are bit-identical to
-    /// evaluating it through a standalone model, whatever the
-    /// interleaving (caching is observable only in [`SessionStats`]).
-    /// A job returns a [`JobError`] when its fixed mapping fails to
-    /// evaluate (the [`EvalError`] is preserved) or its mapspace holds
-    /// no valid candidate.
+    /// each search job walks its candidate stream as `exec` says (see
+    /// [`Mapper::search`](sparseloop_mapping::Mapper::search)). Results
+    /// are per-job and index-aligned with `jobs`: each job's winner,
+    /// objective and [`SearchStats`] are bit-identical to evaluating it
+    /// through a standalone [`Model::search`], whatever the execution
+    /// mode or interleaving (caching is observable only in
+    /// [`SessionStats`]). A job returns a [`JobError`] when its fixed
+    /// mapping fails to evaluate (the [`EvalError`] is preserved) or its
+    /// mapspace holds no valid candidate.
+    ///
+    /// `cancel` is a probe checked at each job seam — the batch's
+    /// cancellation checkpoints. A probe returning `true` makes every
+    /// not-yet-started job resolve to [`JobError::Canceled`] instead of
+    /// running; jobs already past their checkpoint run to completion (a
+    /// checkpoint is a *retirement seam*, not a preemption point), so
+    /// results that do complete stay bit-identical to an uncanceled run.
     pub fn search_batch(
         &self,
         jobs: &[EvalJob],
-        threads: Option<usize>,
+        exec: Exec,
+        cancel: Option<&(dyn Fn() -> bool + Sync)>,
     ) -> Vec<Result<JobOutcome, JobError>> {
-        self.run_batch(jobs, &|model, space, mapper, objective| {
-            model.search_parallel_counted(space, mapper, objective, threads)
+        self.run_batch(jobs, cancel, |model, space, mapper, objective| {
+            mapper.search(space, &model.evaluator(objective), exec)
         })
     }
 
-    /// Like [`search_batch`](EvalSession::search_batch), but every
-    /// candidate runs the full allocating pipeline — scratch arenas and
-    /// prefix-incremental caching disabled (see
+    /// Like [`search_batch`](EvalSession::search_batch) over `threads`
+    /// workers, but every candidate runs the full allocating pipeline —
+    /// scratch arenas and prefix-incremental caching disabled (see
     /// [`Model::evaluator_from_scratch`]). Bit-identical outcomes by
     /// contract; this reference mode exists for parity tests and the
     /// before/after throughput rows in `BENCH_mapper.json`.
@@ -305,118 +354,33 @@ impl EvalSession {
         jobs: &[EvalJob],
         threads: Option<usize>,
     ) -> Vec<Result<JobOutcome, JobError>> {
-        self.run_batch(jobs, &|model, space, mapper, objective| {
-            model.search_parallel_counted_from_scratch(space, mapper, objective, threads)
+        self.run_batch(jobs, None, |model, space, mapper, objective| {
+            mapper.search(
+                space,
+                &model.evaluator_from_scratch(objective),
+                Exec::Threads(threads),
+            )
         })
     }
 
-    /// Like [`search_batch`](EvalSession::search_batch), but each search
-    /// job partitions its candidate stream into `shards` disjoint
-    /// sub-streams evaluated concurrently
-    /// ([`Model::search_sharded_counted`]).
-    ///
-    /// Winners and counters are bit-identical to
-    /// [`search_batch`](EvalSession::search_batch) — and therefore to
-    /// per-layer [`Model::search_parallel`] — at any shard count; only
-    /// the work distribution changes. This is the serving layer's
-    /// search mode: one queue worker drives one job while the candidate
-    /// stream itself fans out over the shared worker pool.
-    pub fn search_batch_sharded(
-        &self,
-        jobs: &[EvalJob],
-        shards: usize,
-    ) -> Vec<Result<JobOutcome, JobError>> {
-        self.search_batch_sharded_with(jobs, shards, None)
-    }
-
-    /// Like [`search_batch_sharded`](EvalSession::search_batch_sharded),
-    /// with a cancellation probe checked at each job seam — the batch's
-    /// cancellation checkpoints. A probe returning `true` makes every
-    /// not-yet-started job resolve to [`JobError::Canceled`] instead of
-    /// running; jobs already past their checkpoint run to completion (a
-    /// checkpoint is a *retirement seam*, not a preemption point), so
-    /// results that do complete stay bit-identical to an uncanceled run.
-    pub fn search_batch_sharded_with(
-        &self,
-        jobs: &[EvalJob],
-        shards: usize,
-        cancel: Option<&(dyn Fn() -> bool + Sync)>,
-    ) -> Vec<Result<JobOutcome, JobError>> {
-        self.run_batch_with(
-            jobs,
-            &|model, space, mapper, objective| {
-                model.search_sharded_counted(space, mapper, objective, shards)
-            },
-            cancel,
-        )
-    }
-
-    /// Shared batch driver: evaluates fixed-mapping jobs directly and
-    /// delegates search jobs to `search`.
-    #[allow(clippy::type_complexity)]
+    /// Shared batch driver: checks the cancellation probe immediately
+    /// before each job starts, then resolves it on a session model with
+    /// `search` walking its mapspace (see [`EvalJob::outcome`]).
     fn run_batch(
         &self,
         jobs: &[EvalJob],
-        search: &(dyn Fn(
-            &Model,
-            &Mapspace,
-            Mapper,
-            Objective,
-        ) -> (Option<(Mapping, Evaluation)>, SearchStats)
-              + Sync),
-    ) -> Vec<Result<JobOutcome, JobError>> {
-        self.run_batch_with(jobs, search, None)
-    }
-
-    /// [`run_batch`](EvalSession::run_batch) with an optional
-    /// cancellation probe checked once per job, immediately before the
-    /// job starts.
-    #[allow(clippy::type_complexity)]
-    fn run_batch_with(
-        &self,
-        jobs: &[EvalJob],
-        search: &(dyn Fn(
-            &Model,
-            &Mapspace,
-            Mapper,
-            Objective,
-        ) -> (Option<(Mapping, Evaluation)>, SearchStats)
-              + Sync),
         cancel: Option<&(dyn Fn() -> bool + Sync)>,
+        search: impl Fn(&Model, &Mapspace, Mapper, Objective) -> (Option<SearchResult>, SearchStats)
+            + Sync,
     ) -> Vec<Result<JobOutcome, JobError>> {
         let run = |job: &EvalJob| -> Result<JobOutcome, JobError> {
-            if cancel.map(|probe| probe()).unwrap_or(false) {
+            if cancel.is_some_and(|probe| probe()) {
                 return Err(JobError::Canceled);
             }
             let model = self.model(job.workload.clone(), job.arch.clone(), job.safs.clone());
-            match &job.plan {
-                JobPlan::Fixed(mapping) => model
-                    .evaluate(mapping)
-                    .map(|eval| JobOutcome {
-                        mapping: mapping.clone(),
-                        eval,
-                        stats: SearchStats {
-                            generated: 1,
-                            evaluated: 1,
-                            ..SearchStats::default()
-                        },
-                    })
-                    .map_err(JobError::Eval),
-                JobPlan::Search {
-                    space,
-                    mapper,
-                    objective,
-                } => {
-                    let (outcome, stats) = search(&model, space, *mapper, *objective);
-                    outcome
-                        .map(|(mapping, eval)| JobOutcome {
-                            mapping,
-                            eval,
-                            stats,
-                        })
-                        .ok_or(JobError::NoValidCandidate { stats })
-                }
-            }
+            job.outcome(&model, |space, mapper, objective| {
+                search(&model, space, mapper, objective)
+            })
         };
         if jobs.len() <= 1 {
             return jobs.iter().map(run).collect();
@@ -554,13 +518,15 @@ mod tests {
             .map(|_| {
                 let (w, safs) = layer(0.25);
                 let m = Model::new(w, arch(), safs);
-                m.search_default(Mapper::Exhaustive { limit: 500 }, Objective::Edp)
-                    .unwrap();
+                let space = Mapspace::all_temporal(m.workload().einsum(), m.arch());
+                let mapper = Mapper::Exhaustive { limit: 500 };
+                let (best, _) = m.search(&space, mapper, Objective::Edp, Exec::Threads(Some(2)));
+                assert!(best.is_some());
                 m.format_cache_stats().misses
             })
             .sum();
         let session = EvalSession::new();
-        let outcomes = session.search_batch(&[job(0.25), job(0.25)], Some(2));
+        let outcomes = session.search_batch(&[job(0.25), job(0.25)], Exec::Threads(Some(2)), None);
         assert!(outcomes.iter().all(|o| o.is_ok()));
         let shared = session.format_stats();
         assert!(
@@ -584,22 +550,48 @@ mod tests {
         assert!(after.format_slots > before.format_slots);
     }
 
+    /// Asserts two batches agree bit for bit: winners, evaluation
+    /// floats and counters.
+    fn assert_same_batch(
+        got: &[Result<JobOutcome, JobError>],
+        want: &[Result<JobOutcome, JobError>],
+        tag: &str,
+    ) {
+        assert_eq!(got.len(), want.len(), "{tag}");
+        for (a, b) in got.iter().zip(want) {
+            let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
+            assert_eq!(a.mapping, b.mapping, "{tag}");
+            assert_eq!(a.eval.edp.to_bits(), b.eval.edp.to_bits(), "{tag}");
+            assert_eq!(a.eval.cycles.to_bits(), b.eval.cycles.to_bits(), "{tag}");
+            assert_eq!(
+                a.eval.energy_pj.to_bits(),
+                b.eval.energy_pj.to_bits(),
+                "{tag}"
+            );
+            assert_eq!(a.stats, b.stats, "{tag}");
+        }
+    }
+
     #[test]
     fn sharded_batch_matches_plain_batch_bit_identically() {
+        // sequential, threaded and sharded batches, each on a fresh
+        // session, and the from-scratch reference all agree
         let jobs = [job(0.25), job(0.5), job(0.25)];
-        let session = EvalSession::new();
-        let reference = session.search_batch(&jobs, Some(2));
-        for shards in [1, 2, 3, 7] {
-            let sharded_session = EvalSession::new();
-            let sharded = sharded_session.search_batch_sharded(&jobs, shards);
-            for (a, b) in sharded.iter().zip(&reference) {
-                let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
-                assert_eq!(a.mapping, b.mapping, "shards={shards}");
-                assert_eq!(a.eval.edp, b.eval.edp, "shards={shards}");
-                assert_eq!(a.eval.cycles, b.eval.cycles, "shards={shards}");
-                assert_eq!(a.eval.energy_pj, b.eval.energy_pj, "shards={shards}");
-                assert_eq!(a.stats, b.stats, "shards={shards}");
-            }
+        let reference = EvalSession::new().search_batch(&jobs, Exec::Threads(Some(1)), None);
+        for exec in [
+            Exec::Threads(Some(2)),
+            Exec::Threads(None),
+            Exec::Shards(1),
+            Exec::Shards(2),
+            Exec::Shards(3),
+            Exec::Shards(7),
+        ] {
+            let got = EvalSession::new().search_batch(&jobs, exec, None);
+            assert_same_batch(&got, &reference, &format!("{exec:?}"));
+        }
+        for threads in [Some(1), Some(2)] {
+            let got = EvalSession::new().search_batch_from_scratch(&jobs, threads);
+            assert_same_batch(&got, &reference, &format!("from scratch {threads:?}"));
         }
     }
 
@@ -607,41 +599,48 @@ mod tests {
     fn canceled_probe_skips_jobs_at_the_checkpoint() {
         let jobs = [job(0.25), job(0.5)];
         let session = EvalSession::new();
-        let results = session.search_batch_sharded_with(&jobs, 2, Some(&|| true));
-        assert!(results.iter().all(|r| matches!(r, Err(JobError::Canceled))));
-        // an unfired probe changes nothing: bit-identical to no probe
-        let plain = session.search_batch_sharded(&jobs, 2);
-        let probed = session.search_batch_sharded_with(&jobs, 2, Some(&|| false));
-        for (a, b) in probed.iter().zip(&plain) {
-            let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
-            assert_eq!(a.mapping, b.mapping);
-            assert_eq!(a.eval.edp, b.eval.edp);
-            assert_eq!(a.stats, b.stats);
+        for exec in [Exec::Threads(Some(2)), Exec::Shards(2)] {
+            let results = session.search_batch(&jobs, exec, Some(&|| true));
+            assert!(results.iter().all(|r| matches!(r, Err(JobError::Canceled))));
+            // an unfired probe changes nothing: bit-identical to no probe
+            let plain = session.search_batch(&jobs, exec, None);
+            let probed = session.search_batch(&jobs, exec, Some(&|| false));
+            assert_same_batch(&probed, &plain, &format!("{exec:?}"));
         }
     }
 
     #[test]
     fn shard_worker_halves_reassemble_the_model_search() {
         // Model::search_shard_counted over every shard index, merged and
-        // re-evaluated by the caller, equals Model::search_sharded_counted
-        let (workload, safs) = layer(0.25);
-        let arch = arch();
-        let space = Mapspace::all_temporal(workload.einsum(), &arch);
-        let mapper = Mapper::Exhaustive { limit: 500 };
+        // re-evaluated through EvalJob::outcome (what a supervising
+        // parent does), equals Model::search and the batch driver
+        let job = job(0.25);
+        let JobPlan::Search {
+            space,
+            mapper,
+            objective,
+        } = &job.plan
+        else {
+            unreachable!("job() builds a search")
+        };
         let session = EvalSession::new();
-        let model = session.model(workload, arch, safs);
-        let (whole, whole_stats) = model.search_sharded_counted(&space, mapper, Objective::Edp, 3);
-        let parts =
-            (0..3).map(|k| model.search_shard_counted(&space, mapper, Objective::Edp, k, 3));
-        let (merged, stats) = sparseloop_mapping::merge_shard_results(parts);
-        let merged = merged.expect("search succeeds");
+        let model = session.model(job.workload.clone(), job.arch.clone(), job.safs.clone());
+        let merged = job
+            .outcome(&model, |_, _, _| {
+                let parts =
+                    (0..3).map(|k| model.search_shard_counted(space, *mapper, *objective, k, 3));
+                sparseloop_mapping::merge_shard_results(parts)
+            })
+            .expect("search succeeds");
+        let (whole, whole_stats) = model.search(space, *mapper, *objective, Exec::Threads(Some(1)));
         let (mapping, eval) = whole.expect("search succeeds");
         assert_eq!(merged.mapping, mapping);
-        assert_eq!(stats, whole_stats);
-        let re_eval = model.evaluate(&merged.mapping).unwrap();
-        assert_eq!(re_eval.edp, eval.edp);
-        assert_eq!(re_eval.cycles, eval.cycles);
-        assert_eq!(re_eval.energy_pj, eval.energy_pj);
+        assert_eq!(merged.stats, whole_stats);
+        assert_eq!(merged.eval.edp.to_bits(), eval.edp.to_bits());
+        assert_eq!(merged.eval.cycles.to_bits(), eval.cycles.to_bits());
+        assert_eq!(merged.eval.energy_pj.to_bits(), eval.energy_pj.to_bits());
+        let batch = session.search_batch(std::slice::from_ref(&job), Exec::Shards(3), None);
+        assert_same_batch(&batch, &[Ok(merged)], "batch");
     }
 
     #[test]
@@ -660,6 +659,7 @@ mod tests {
                 safs,
                 plan: JobPlan::Fixed(mapping.clone()),
             }],
+            Exec::Threads(None),
             None,
         );
         let outcome = out[0].as_ref().expect("fixed mapping evaluates");

@@ -8,7 +8,7 @@ use sparseloop_core::{
     dataflow, sparse, EvalError, EvalScratch, Model, Objective, SafSpec, Workload,
 };
 use sparseloop_density::DensityModelSpec;
-use sparseloop_mapping::{CandidateEvaluator, Mapper, Mapspace, SampleStrategy};
+use sparseloop_mapping::{CandidateEvaluator, Exec, Mapper, Mapspace, SampleStrategy};
 use sparseloop_tensor::einsum::{DimId, Einsum, TensorKind};
 
 fn arch2() -> sparseloop_arch::Architecture {
@@ -358,9 +358,10 @@ proptest! {
             Mapper::Exhaustive { limit: 250 }
         };
         // reference: the stateless from-scratch pipeline, sequential
-        let (reference, ref_stats) = mapper.search_pruned_counted(
+        let (reference, ref_stats) = mapper.search(
             &space,
             &model.evaluator_from_scratch(Objective::Edp),
+            Exec::Threads(Some(1)),
         );
         let check = |got: Option<(sparseloop_mapping::Mapping, sparseloop_core::Evaluation)>,
                      stats: sparseloop_mapping::SearchStats,
@@ -384,19 +385,15 @@ proptest! {
             }
             Ok(())
         };
-        for threads in [1usize, 2, 4] {
-            let (got, stats) = model.search_parallel_counted(
-                &space,
-                mapper,
-                Objective::Edp,
-                Some(threads),
-            );
-            check(got, stats, &format!("threads={threads}"))?;
-        }
-        for shards in [1usize, 3] {
-            let (got, stats) =
-                model.search_sharded_counted(&space, mapper, Objective::Edp, shards);
-            check(got, stats, &format!("shards={shards}"))?;
+        for exec in [
+            Exec::Threads(Some(1)),
+            Exec::Threads(Some(2)),
+            Exec::Threads(Some(4)),
+            Exec::Shards(1),
+            Exec::Shards(3),
+        ] {
+            let (got, stats) = model.search(&space, mapper, Objective::Edp, exec);
+            check(got, stats, &format!("{exec:?}"))?;
         }
     }
 
@@ -425,19 +422,15 @@ proptest! {
             .unwrap();
         let model = Model::new(w, arch.clone(), SafSpec::dense());
         let space = Mapspace::all_temporal(&e, &arch);
-        let seq = model.search_with_stats(&space, Mapper::Exhaustive { limit: 500 }, Objective::Edp);
-        let par = model.search_parallel_with_stats(
-            &space,
-            Mapper::Exhaustive { limit: 500 },
-            Objective::Edp,
-            Some(threads),
-        );
+        let mapper = Mapper::Exhaustive { limit: 500 };
+        let (seq, ss) = model.search(&space, mapper, Objective::Edp, Exec::Threads(Some(1)));
+        let (par, ps) = model.search(&space, mapper, Objective::Edp, Exec::Threads(Some(threads)));
+        prop_assert_eq!(ss, ps, "stats must agree");
         match (seq, par) {
             (None, None) => {}
-            (Some((sm, se, ss)), Some((pm, pe, ps))) => {
+            (Some((sm, se)), Some((pm, pe))) => {
                 prop_assert_eq!(&sm, &pm, "winning mappings must be identical");
                 prop_assert_eq!(se.edp, pe.edp, "objective must be bit-identical");
-                prop_assert_eq!(ss, ps, "stats must agree");
             }
             (s, p) => {
                 prop_assert!(false, "one path found a mapping, the other did not: seq={} par={}", s.is_some(), p.is_some());

@@ -2,7 +2,7 @@
 
 use sparseloop_arch::Architecture;
 use sparseloop_core::{Model, SafSpec, Workload};
-use sparseloop_mapping::{Mapper, Mapping, Mapspace};
+use sparseloop_mapping::{Exec, Mapper, Mapping, Mapspace};
 use sparseloop_tensor::einsum::{DimId, Einsum, TensorId};
 use sparseloop_workloads::Layer;
 
@@ -55,7 +55,13 @@ impl DesignPoint {
         space: &Mapspace,
     ) -> Option<(Mapping, sparseloop_core::Evaluation)> {
         self.model(layer)
-            .search(space, DEFAULT_MAPPER, sparseloop_core::Objective::Edp)
+            .search(
+                space,
+                DEFAULT_MAPPER,
+                sparseloop_core::Objective::Edp,
+                Exec::Threads(Some(1)),
+            )
+            .0
     }
 }
 

@@ -20,7 +20,7 @@ use crate::common::{conv_mapspace, matmul_mapping_2level, matmul_mapping_3level,
 use crate::{dstc, eyeriss, eyeriss_v2, fig1, fig17, scnn, stc};
 use sparseloop_core::{EvalJob, EvalSession, JobError, JobOutcome, Objective, Workload};
 use sparseloop_density::DensityModelSpec;
-use sparseloop_mapping::{Mapping, Mapspace, SearchStats};
+use sparseloop_mapping::{Exec, Mapping, Mapspace, SearchStats};
 use sparseloop_tensor::einsum::Einsum;
 use sparseloop_workloads::{
     alexnet, bert_base, mobilenet_v1, resnet50, spmspm, vgg16, Layer, Network,
@@ -139,34 +139,27 @@ impl Scenario {
         (self.build)()
     }
 
-    /// Runs every experiment through `session`'s shared caches (see
-    /// [`EvalSession::search_batch`]), timing the whole batch.
+    /// Runs every experiment through `session`'s shared caches over
+    /// `threads` search workers (see [`EvalSession::search_batch`]),
+    /// timing the whole batch.
     pub fn run(&self, session: &EvalSession, threads: Option<usize>) -> ScenarioOutcome {
-        self.run_with(|jobs| session.search_batch(jobs, threads))
+        self.run_exec(session, Exec::Threads(threads), None)
     }
 
-    /// Like [`run`](Scenario::run), but each search experiment shards
-    /// its candidate stream over `shards` disjoint sub-iterators (see
-    /// [`EvalSession::search_batch_sharded`]) — results are
-    /// bit-identical to [`run`](Scenario::run) at any shard count. The
-    /// serving layer's scenario mode.
-    pub fn run_sharded(&self, session: &EvalSession, shards: usize) -> ScenarioOutcome {
-        self.run_with(|jobs| session.search_batch_sharded(jobs, shards))
-    }
-
-    /// Like [`run_sharded`](Scenario::run_sharded), with a cancellation
-    /// probe checked at each experiment seam (see
-    /// [`EvalSession::search_batch_sharded_with`]): once the probe
-    /// fires, remaining experiments resolve to [`JobError::Canceled`]
-    /// instead of running. Experiments that do run stay bit-identical
-    /// to [`run_sharded`](Scenario::run_sharded).
-    pub fn run_sharded_with(
+    /// Like [`run`](Scenario::run), with each search walked as `exec`
+    /// says and a cancellation probe checked at each experiment seam
+    /// (see [`EvalSession::search_batch`]): once the probe fires,
+    /// remaining experiments resolve to [`JobError::Canceled`] instead
+    /// of running. Experiments that do run are bit-identical to
+    /// [`run`](Scenario::run) in every mode; the serving layer runs
+    /// scenarios as [`Exec::Shards`].
+    pub fn run_exec(
         &self,
         session: &EvalSession,
-        shards: usize,
+        exec: Exec,
         cancel: Option<&(dyn Fn() -> bool + Sync)>,
     ) -> ScenarioOutcome {
-        self.run_with(|jobs| session.search_batch_sharded_with(jobs, shards, cancel))
+        self.run_with(|jobs| session.search_batch(jobs, exec, cancel))
     }
 
     /// Like [`run`](Scenario::run), through the from-scratch reference
@@ -248,16 +241,10 @@ impl ScenarioOutcome {
     /// succeeding and failing).
     pub fn total_stats(&self) -> SearchStats {
         let mut total = SearchStats::default();
-        let mut add = |s: &SearchStats| {
-            total.generated += s.generated;
-            total.pruned += s.pruned;
-            total.evaluated += s.evaluated;
-            total.invalid += s.invalid;
-        };
         for r in &self.results {
             match r {
-                Ok(outcome) => add(&outcome.stats),
-                Err(JobError::NoValidCandidate { stats }) => add(stats),
+                Ok(outcome) => total.absorb(&outcome.stats),
+                Err(JobError::NoValidCandidate { stats }) => total.absorb(stats),
                 Err(JobError::Eval(_)) | Err(JobError::Canceled) => {}
             }
         }

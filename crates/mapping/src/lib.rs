@@ -23,8 +23,8 @@ pub mod wire;
 
 pub use loops::{Loop, LoopKind, Mapping, MappingBuilder, MappingError};
 pub use mapper::{
-    merge_shard_results, CandidateEvaluator, Mapper, SampleStrategy, SearchResult, SearchStats,
-    ShardWinner, WorkerEvaluator,
+    merge_shard_results, CandidateEvaluator, Exec, Mapper, SampleStrategy, SearchResult,
+    SearchStats, ShardWinner, WorkerEvaluator,
 };
 pub use mapspace::{
     factorizations, CandidateKey, ChangeDepth, EnumerateIter, HaltonSampleIter, Mapspace,

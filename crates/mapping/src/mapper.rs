@@ -1,12 +1,13 @@
 //! The mapper: searches a mapspace for the best mapping under a
 //! caller-supplied objective.
 //!
-//! The objective is a closure `Fn(&Mapping) -> Option<f64>` returning the
-//! metric to *minimize* (EDP, latency, energy, ...) or `None` when the
-//! mapping is invalid (e.g. fails the capacity check in Sparseloop's
-//! micro-architectural step). Keeping the evaluator abstract lets the
-//! mapping crate stay independent of the model crate, mirroring the
-//! paper's separation between mapspace construction and evaluation.
+//! The objective is a [`CandidateEvaluator`] returning the metric to
+//! *minimize* (EDP, latency, energy, ...) or `None` when the mapping is
+//! invalid (e.g. fails the capacity check in Sparseloop's
+//! micro-architectural step); any `Fn(&Mapping) -> Option<f64> + Sync`
+//! closure is one. Keeping the evaluator abstract lets the mapping
+//! crate stay independent of the model crate, mirroring the paper's
+//! separation between mapspace construction and evaluation.
 //!
 //! # Search pipeline
 //!
@@ -15,17 +16,17 @@
 //! memory in the candidate count — and flow through a two-stage
 //! evaluation: a cheap [`CandidateEvaluator::precheck`] rejects
 //! obviously-invalid candidates (e.g. oversized tiles) before the full
-//! objective runs. [`Mapper::par_search`] distributes the same stream
-//! over worker threads and reduces with a deterministic
-//! `(objective, candidate index)` tie-break, so parallel and sequential
-//! searches return bit-identical winners.
+//! objective runs. [`Mapper::search`] is the one entry point; its
+//! [`Exec`] argument walks the stream sequentially, over worker threads
+//! or as disjoint shards, and every mode reduces with a deterministic
+//! `(objective, candidate position)` tie-break, so all of them return
+//! bit-identical winners and counters.
 
 use crate::loops::Mapping;
-use crate::mapspace::{CandidateKey, ChangeDepth, Mapspace, MapspaceShard};
+use crate::mapspace::{CandidateKey, ChangeDepth, Mapspace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Statistics from one mapper run.
@@ -55,15 +56,27 @@ impl SearchStats {
     }
 }
 
-/// Outcome of a mapper search.
+/// The winner of a mapper search (its counters are returned beside it,
+/// see [`Mapper::search`]).
 #[derive(Debug, Clone)]
 pub struct SearchResult {
     /// The best mapping found.
     pub mapping: Mapping,
     /// Its objective value.
     pub objective: f64,
-    /// Search statistics.
-    pub stats: SearchStats,
+}
+
+/// How [`Mapper::search`] walks the candidate stream. Winner, objective
+/// bits and counters are identical in every mode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Exec {
+    /// Fan the stream out over this many worker threads (`None`: every
+    /// available core). `Threads(Some(1))` is the sequential scan.
+    Threads(Option<usize>),
+    /// Split the stream into this many disjoint shards, walked
+    /// concurrently on the worker pool and merged exactly like a
+    /// multi-process fleet's per-shard replies (0 counts as 1).
+    Shards(usize),
 }
 
 /// A two-stage candidate evaluator: a cheap validity pre-pass followed by
@@ -145,8 +158,8 @@ where
     }
 }
 
-/// Candidates pulled from the shared stream per lock acquisition in
-/// [`Mapper::par_search`]; amortizes lock traffic without letting any
+/// Candidates pulled from the shared stream per lock acquisition in a
+/// threaded [`Mapper::search`]; amortizes lock traffic without letting any
 /// worker run far ahead of the stream.
 const PAR_BATCH: usize = 32;
 
@@ -273,280 +286,60 @@ impl Mapper {
         }
     }
 
-    /// Runs the search, returning the best mapping by the minimized
-    /// objective, or `None` when no candidate evaluates successfully.
+    /// Searches `space` for the candidate minimizing `evaluator`'s
+    /// objective. Returns the winner (`None` when no candidate evaluates
+    /// successfully) and the run's counters, which count the walked
+    /// stream even when it held no valid candidate.
     ///
-    /// Candidates are streamed: memory use is O(1) in the mapspace size
-    /// and `stats.generated` counts candidates as they are drawn.
-    pub fn search<F>(&self, space: &Mapspace, mut objective: F) -> Option<SearchResult>
-    where
-        F: FnMut(&Mapping) -> Option<f64>,
-    {
-        let mut stats = SearchStats::default();
-        let mut best: Option<(Mapping, f64)> = None;
-        for m in self.candidates(space) {
-            stats.generated += 1;
-            match objective(&m) {
-                // NaN objectives are rejected (counted invalid): they are
-                // unordered, which would make the winner depend on
-                // evaluation order
-                Some(v) if !v.is_nan() => {
-                    stats.evaluated += 1;
-                    let better = best.as_ref().map(|(_, b)| v < *b).unwrap_or(true);
-                    if better {
-                        best = Some((m, v));
-                    }
-                }
-                _ => stats.invalid += 1,
-            }
-        }
-        best.map(|(mapping, objective)| SearchResult {
-            mapping,
-            objective,
-            stats,
-        })
-    }
-
-    /// Sequential search through a two-stage [`CandidateEvaluator`]:
-    /// candidates failing the cheap precheck are pruned (counted in
-    /// `stats.pruned`) without running the full evaluation.
+    /// Every candidate goes through the two-stage pipeline: a failed
+    /// [`CandidateEvaluator::precheck`] prunes it, otherwise the full
+    /// evaluation scores it. NaN objectives are counted invalid: they
+    /// are unordered, so admitting them would make the winner depend on
+    /// evaluation order.
     ///
-    /// Returns the same winner as [`search`](Mapper::search) over the
-    /// same stream whenever the precheck is consistent (only rejects
-    /// candidates the full evaluation would reject).
-    pub fn search_pruned<E: CandidateEvaluator + ?Sized>(
+    /// `exec` only picks how the stream is walked; winner, objective
+    /// bits and counters are identical in every mode:
+    ///
+    /// * [`Exec::Threads`] — workers pull fixed-size batches off the
+    ///   shared stream and keep a local best keyed by `(objective,
+    ///   candidate index)`. The lexicographic minimum of those keys is
+    ///   exactly the candidate the sequential scan keeps (first strict
+    ///   minimum in stream order). `Threads(Some(1))` is that scan.
+    /// * [`Exec::Shards`] — every shard of
+    ///   [`search_shard_counted`](Mapper::search_shard_counted) runs on
+    ///   the worker pool and [`merge_shard_results`] reduces them: the
+    ///   same code a multi-process fleet runs, one shard per process.
+    pub fn search<E: CandidateEvaluator + ?Sized>(
         &self,
         space: &Mapspace,
         evaluator: &E,
-    ) -> Option<SearchResult> {
-        self.search_pruned_counted(space, evaluator).0
-    }
-
-    /// Like [`search_pruned`](Mapper::search_pruned), but the run's
-    /// counters are returned even when no candidate evaluates
-    /// successfully — an all-invalid stream was still walked, and
-    /// throughput accounting should see that work.
-    pub fn search_pruned_counted<E: CandidateEvaluator + ?Sized>(
-        &self,
-        space: &Mapspace,
-        evaluator: &E,
+        exec: Exec,
     ) -> (Option<SearchResult>, SearchStats) {
-        let mut stats = SearchStats::default();
-        let mut best: Option<(Mapping, f64)> = None;
-        // one stateful worker walks the whole stream: scratch buffers and
-        // prefix-incremental caches persist across candidates
-        let mut worker = evaluator.worker();
-        for (depth, m) in self.delta_candidates(space) {
-            stats.generated += 1;
-            if !worker.precheck(&m, depth) {
-                stats.pruned += 1;
-                continue;
-            }
-            match worker.evaluate(&m, depth) {
-                // NaN handling mirrors search(): unordered values are
-                // counted invalid so the winner is order-independent
-                Some(v) if !v.is_nan() => {
-                    stats.evaluated += 1;
-                    let better = best.as_ref().map(|(_, b)| v < *b).unwrap_or(true);
-                    if better {
-                        best = Some((m, v));
-                    }
+        match exec {
+            Exec::Threads(threads) => {
+                let workers = threads.unwrap_or_else(rayon::current_num_threads).max(1);
+                let keyed = self
+                    .delta_candidates(space)
+                    .enumerate()
+                    .map(|(idx, (depth, m))| (idx, depth, m));
+                if workers == 1 {
+                    // one stateful worker walks the whole stream: scratch
+                    // buffers and prefix-incremental caches persist
+                    return Best::default().walk(evaluator, keyed).finish();
                 }
-                _ => stats.invalid += 1,
+                par_walk(keyed, evaluator, workers).finish()
             }
-        }
-        let result = best.map(|(mapping, objective)| SearchResult {
-            mapping,
-            objective,
-            stats,
-        });
-        (result, stats)
-    }
-
-    /// Parallel search: distributes the candidate stream over `threads`
-    /// workers (default: all available cores) and reduces
-    /// deterministically.
-    ///
-    /// Workers pull fixed-size batches off the shared stream, evaluate
-    /// through the two-stage pipeline, and keep a thread-local best keyed
-    /// by `(objective value, candidate index)`. The final reduction takes
-    /// the lexicographic minimum of those keys, which is exactly the
-    /// candidate the sequential scan would keep (first strict minimum in
-    /// stream order) — so `par_search` and
-    /// [`search_pruned`](Mapper::search_pruned) return bit-identical
-    /// `(mapping, objective)` regardless of thread count or scheduling.
-    pub fn par_search<E: CandidateEvaluator + ?Sized>(
-        &self,
-        space: &Mapspace,
-        evaluator: &E,
-        threads: Option<usize>,
-    ) -> Option<SearchResult> {
-        self.par_search_counted(space, evaluator, threads).0
-    }
-
-    /// Like [`par_search`](Mapper::par_search), but the run's counters
-    /// are returned even when no candidate evaluates successfully (see
-    /// [`search_pruned_counted`](Mapper::search_pruned_counted)).
-    pub fn par_search_counted<E: CandidateEvaluator + ?Sized>(
-        &self,
-        space: &Mapspace,
-        evaluator: &E,
-        threads: Option<usize>,
-    ) -> (Option<SearchResult>, SearchStats) {
-        let workers = threads.unwrap_or_else(rayon::current_num_threads).max(1);
-        if workers == 1 {
-            return self.search_pruned_counted(space, evaluator);
-        }
-
-        let stream = Mutex::new(self.delta_candidates(space).enumerate());
-        let generated = AtomicUsize::new(0);
-        let pruned = AtomicUsize::new(0);
-        let evaluated = AtomicUsize::new(0);
-        let invalid = AtomicUsize::new(0);
-        // best = (objective value, candidate index, mapping)
-        let best: Mutex<Option<(f64, usize, Mapping)>> = Mutex::new(None);
-
-        let beats = |v: f64, idx: usize, cur: &Option<(f64, usize, Mapping)>| match cur {
-            None => true,
-            Some((bv, bidx, _)) => v < *bv || (v == *bv && idx < *bidx),
-        };
-
-        rayon::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|_| {
-                    let mut local: Option<(f64, usize, Mapping)> = None;
-                    let mut worker = evaluator.worker();
-                    loop {
-                        let batch: Vec<(usize, (ChangeDepth, Mapping))> = {
-                            let mut it = stream.lock().expect("candidate stream poisoned");
-                            it.by_ref().take(PAR_BATCH).collect()
-                        };
-                        if batch.is_empty() {
-                            break;
-                        }
-                        generated.fetch_add(batch.len(), Ordering::Relaxed);
-                        for (pos, (idx, (depth, m))) in batch.into_iter().enumerate() {
-                            // a batch's first candidate follows one that
-                            // (usually) went to another worker: its depth
-                            // relation does not hold for THIS worker's
-                            // caches, so it must recompute from scratch
-                            let depth = if pos == 0 { ChangeDepth::Reset } else { depth };
-                            if !worker.precheck(&m, depth) {
-                                pruned.fetch_add(1, Ordering::Relaxed);
-                                continue;
-                            }
-                            match worker.evaluate(&m, depth) {
-                                // NaN counted invalid, as in the
-                                // sequential paths: NaN is unordered and
-                                // would break the deterministic reduction
-                                Some(v) if !v.is_nan() => {
-                                    evaluated.fetch_add(1, Ordering::Relaxed);
-                                    if beats(v, idx, &local) {
-                                        local = Some((v, idx, m));
-                                    }
-                                }
-                                _ => {
-                                    invalid.fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
-                        }
-                    }
-                    if let Some((v, idx, m)) = local {
-                        let mut global = best.lock().expect("best slot poisoned");
-                        if beats(v, idx, &global) {
-                            *global = Some((v, idx, m));
-                        }
+            Exec::Shards(shards) => {
+                let shards = shards.max(1);
+                let mut parts = vec![(None, SearchStats::default()); shards];
+                rayon::scope(|s| {
+                    for (shard, part) in parts.iter_mut().enumerate() {
+                        s.spawn(move |_| {
+                            *part = self.search_shard_counted(space, evaluator, shard, shards)
+                        });
                     }
                 });
-            }
-        });
-
-        let stats = SearchStats {
-            generated: generated.into_inner(),
-            pruned: pruned.into_inner(),
-            evaluated: evaluated.into_inner(),
-            invalid: invalid.into_inner(),
-        };
-        let result =
-            best.into_inner()
-                .expect("best slot poisoned")
-                .map(|(objective, _, mapping)| SearchResult {
-                    mapping,
-                    objective,
-                    stats,
-                });
-        (result, stats)
-    }
-
-    /// Sharded deterministic search: partitions the enumerated candidate
-    /// stream into `shards` disjoint sub-streams ([`Mapspace::shards`]),
-    /// evaluates them concurrently on the worker pool, and reduces the
-    /// per-shard winners by `(objective value, candidate position)`.
-    ///
-    /// Winners are **bit-identical** to [`par_search`](Mapper::par_search)
-    /// / [`search_pruned`](Mapper::search_pruned) at any shard count:
-    /// shard candidates carry globally comparable [`CandidateKey`]s whose
-    /// order is exactly the unsharded stream order, so the lexicographic
-    /// minimum of `(value, key)` is the same candidate the sequential
-    /// scan keeps. A hybrid strategy shards its enumerated prefix and
-    /// runs the (inherently sequential) seeded sample tail afterwards,
-    /// deduplicated against the full prefix exactly like the unsharded
-    /// stream; a pure random strategy has no enumeration to shard and
-    /// falls back to [`par_search`](Mapper::par_search).
-    pub fn search_sharded<E: CandidateEvaluator + ?Sized>(
-        &self,
-        space: &Mapspace,
-        evaluator: &E,
-        shards: usize,
-    ) -> Option<SearchResult> {
-        self.search_sharded_counted(space, evaluator, shards).0
-    }
-
-    /// Like [`search_sharded`](Mapper::search_sharded), but the run's
-    /// counters are returned even when no candidate evaluates
-    /// successfully (see
-    /// [`search_pruned_counted`](Mapper::search_pruned_counted)).
-    pub fn search_sharded_counted<E: CandidateEvaluator + ?Sized>(
-        &self,
-        space: &Mapspace,
-        evaluator: &E,
-        shards: usize,
-    ) -> (Option<SearchResult>, SearchStats) {
-        match *self {
-            Mapper::Exhaustive { limit } => {
-                let (best, stats) = sharded_enumerate_search(space, evaluator, limit, shards, None);
-                finish_sharded(best, stats)
-            }
-            Mapper::Random { .. } => self.par_search_counted(space, evaluator, None),
-            Mapper::Hybrid {
-                enumerate,
-                samples,
-                seed,
-                sampling,
-            } => {
-                if samples == 0 {
-                    let (best, stats) =
-                        sharded_enumerate_search(space, evaluator, enumerate, shards, None);
-                    return finish_sharded(best, stats);
-                }
-                let record = Mutex::new(HashSet::new());
-                let (mut best, mut stats) =
-                    sharded_enumerate_search(space, evaluator, enumerate, shards, Some(&record));
-                // a prefix that ran dry *below* its cap enumerated the
-                // whole space: every sample would dedup away, so the
-                // tail (and its 20x-samples draw budget) is skipped —
-                // same shortcut as the unsharded stream, read off the
-                // already-summed counters for free. (A space of exactly
-                // `enumerate` candidates falls through to the tail,
-                // where the dedup filter still drops every draw.)
-                if stats.generated < enumerate {
-                    return finish_sharded(best, stats);
-                }
-                let seen = record.into_inner().expect("hybrid dedup set");
-                walk_sample_tail(
-                    space, samples, seed, sampling, &seen, evaluator, &mut best, &mut stats,
-                );
-                finish_sharded(best, stats)
+                merge_shard_results(parts)
             }
         }
     }
@@ -555,11 +348,8 @@ impl Mapper {
     /// returning its raw local winner (objective value, globally
     /// comparable [`CandidateKey`], mapping) and counters — the
     /// per-worker half of a multi-process sharded search. Feeding every
-    /// shard's return through [`merge_shard_results`] reproduces
-    /// [`search_sharded_counted`](Mapper::search_sharded_counted)
-    /// bit-identically (winner, objective, and summed stats), because
-    /// both run the same [`walk_shard`] / [`walk_sample_tail`] code over
-    /// the same disjoint sub-streams.
+    /// shard's return through [`merge_shard_results`] is exactly what
+    /// [`Mapper::search`] does under [`Exec::Shards`].
     ///
     /// Division of labor by strategy:
     ///
@@ -571,8 +361,7 @@ impl Mapper {
     ///   dedup set and the cover-check counter the unsharded stream
     ///   maintains for free.
     /// * `Random` — one seeded sequence with nothing to shard: shard 0
-    ///   walks it whole (matching the in-process fallback's winner);
-    ///   other shards return empty.
+    ///   walks it whole; other shards return empty.
     ///
     /// Panics if `shard >= shards` or `shards == 0`.
     pub fn search_shard_counted<E: CandidateEvaluator + ?Sized>(
@@ -584,50 +373,32 @@ impl Mapper {
     ) -> (Option<ShardWinner>, SearchStats) {
         assert!(shards > 0, "shard count must be positive");
         assert!(shard < shards, "shard index {shard} out of {shards}");
+        // one worker per shard: the shard is one contiguous sub-stream,
+        // so its change depths hold end to end
         let enumerated_shard = |limit: usize| {
             let mut own = space.shards(shards, limit).swap_remove(shard);
-            walk_shard(&mut own, evaluator, None)
+            Best::default().walk(evaluator, std::iter::from_fn(|| own.next_delta()))
         };
-        match *self {
+        let best = match *self {
             Mapper::Exhaustive { limit } => enumerated_shard(limit),
-            Mapper::Random { .. } => {
-                if shard != 0 {
-                    return (None, SearchStats::default());
-                }
-                // the whole seeded stream, keyed like a sample tail: the
-                // first strict minimum wins, exactly the candidate the
-                // in-process fallback keeps
-                let mut best: Option<ShardWinner> = None;
-                let mut stats = SearchStats::default();
-                let mut worker = evaluator.worker();
-                for (i, (depth, m)) in self.delta_candidates(space).enumerate() {
-                    let key = CandidateKey::sampled(i as u64);
-                    stats.generated += 1;
-                    if !worker.precheck(&m, depth) {
-                        stats.pruned += 1;
-                        continue;
-                    }
-                    match worker.evaluate(&m, depth) {
-                        Some(v) if !v.is_nan() => {
-                            stats.evaluated += 1;
-                            if beats_key(v, key, &best) {
-                                best = Some((v, key, m));
-                            }
-                        }
-                        _ => stats.invalid += 1,
-                    }
-                }
-                (best, stats)
-            }
+            Mapper::Random { .. } if shard != 0 => Best::default(),
+            // the whole seeded stream, keyed like a sample tail: the
+            // first strict minimum wins, exactly as in the unsharded scan
+            Mapper::Random { .. } => Best::default().walk(
+                evaluator,
+                self.delta_candidates(space)
+                    .enumerate()
+                    .map(|(i, (depth, m))| (CandidateKey::sampled(i as u64), depth, m)),
+            ),
             Mapper::Hybrid {
                 enumerate,
                 samples,
                 seed,
                 sampling,
             } => {
-                let (mut best, mut stats) = enumerated_shard(enumerate);
+                let best = enumerated_shard(enumerate);
                 if samples == 0 || shard != 0 {
-                    return (best, stats);
+                    return (best.winner, best.stats);
                 }
                 // shard 0 owns the sample tail. The tail's dedup set and
                 // the cover-check counter span the *whole* prefix, so
@@ -643,18 +414,22 @@ impl Mapper {
                     seen.insert(m);
                 }
                 // a prefix that ran dry below its cap covered the space:
-                // every sample would dedup away, so the tail is skipped —
-                // the same shortcut search_sharded_counted takes on the
-                // summed counters
+                // every sample would dedup away, so the tail is skipped
+                // like the unsharded stream skips it
                 if total_generated < enumerate {
-                    return (best, stats);
+                    return (best.winner, best.stats);
                 }
-                walk_sample_tail(
-                    space, samples, seed, sampling, &seen, evaluator, &mut best, &mut stats,
-                );
-                (best, stats)
+                // sampled keys order after all enumerated keys, matching
+                // the tail's stream position; sampled draws share no
+                // prefix, so every one is a Reset
+                let tail = sample_tail(space, samples, seed, sampling)
+                    .filter(|m| !seen.contains(m))
+                    .enumerate()
+                    .map(|(i, m)| (CandidateKey::sampled(i as u64), ChangeDepth::Reset, m));
+                best.walk(evaluator, tail)
             }
-        }
+        };
+        (best.winner, best.stats)
     }
 }
 
@@ -664,23 +439,18 @@ pub type ShardWinner = (f64, CandidateKey, Mapping);
 
 /// Reduces per-shard partial results (one per shard index, any order)
 /// into the full search outcome: the `(value, key)`-lexicographic
-/// minimum winner plus summed counters — bit-identical to
-/// [`Mapper::search_sharded_counted`] when fed every shard of the same
-/// search.
+/// minimum winner plus summed counters — the result of
+/// [`Mapper::search`] under [`Exec::Shards`] when fed every shard of
+/// the same search.
 pub fn merge_shard_results(
     parts: impl IntoIterator<Item = (Option<ShardWinner>, SearchStats)>,
 ) -> (Option<SearchResult>, SearchStats) {
-    let mut best: Option<ShardWinner> = None;
-    let mut stats = SearchStats::default();
-    for (winner, s) in parts {
-        stats.absorb(&s);
-        if let Some((v, key, m)) = winner {
-            if beats_key(v, key, &best) {
-                best = Some((v, key, m));
-            }
-        }
-    }
-    finish_sharded(best, stats)
+    parts
+        .into_iter()
+        .fold(Best::default(), |acc, (winner, stats)| {
+            acc.merge(Best { winner, stats })
+        })
+        .finish()
 }
 
 /// The hybrid strategy's sample tail as a boxed stream (uniform RNG or
@@ -699,155 +469,117 @@ fn sample_tail<'a>(
     }
 }
 
-/// `(value, key)` lexicographic improvement test of the sharded
-/// reduction — the exact analogue of `par_search`'s `(value, index)`
-/// rule under the globally comparable shard keys.
-fn beats_key(v: f64, key: CandidateKey, cur: &Option<(f64, CandidateKey, Mapping)>) -> bool {
-    match cur {
-        None => true,
-        Some((bv, bkey, _)) => v < *bv || (v == *bv && key < *bkey),
+/// A walk's running winner — the `(objective, key)`-lexicographic
+/// minimum, keys being stream positions — plus its counters. Its
+/// [`step`](Best::step) is the one candidate step every search walk
+/// shares.
+struct Best<K> {
+    winner: Option<(f64, K, Mapping)>,
+    stats: SearchStats,
+}
+
+impl<K> Default for Best<K> {
+    fn default() -> Self {
+        Best {
+            winner: None,
+            stats: SearchStats::default(),
+        }
     }
 }
 
-fn finish_sharded(
-    best: Option<(f64, CandidateKey, Mapping)>,
-    stats: SearchStats,
-) -> (Option<SearchResult>, SearchStats) {
-    let result = best.map(|(objective, _, mapping)| SearchResult {
-        mapping,
-        objective,
-        stats,
-    });
-    (result, stats)
-}
-
-/// Walks one shard's candidate sub-stream to completion, returning its
-/// local `(value, key)`-minimal winner and counters. Shared verbatim by
-/// the in-process concurrent sharded search and the per-process
-/// [`Mapper::search_shard_counted`] path, so the two cannot diverge.
-/// `record` (the hybrid prefix dedup set) receives every produced
-/// candidate when present.
-fn walk_shard<E: CandidateEvaluator + ?Sized>(
-    shard: &mut MapspaceShard<'_>,
-    evaluator: &E,
-    record: Option<&Mutex<HashSet<Mapping>>>,
-) -> (Option<(f64, CandidateKey, Mapping)>, SearchStats) {
-    let mut local: Option<(f64, CandidateKey, Mapping)> = None;
-    let mut stats = SearchStats::default();
-    // one worker per shard: the shard is one contiguous sub-stream, so
-    // its change depths hold end to end
-    let mut worker = evaluator.worker();
-    while let Some((key, depth, m)) = shard.next_delta() {
-        stats.generated += 1;
-        if let Some(rec) = record {
-            rec.lock().expect("hybrid dedup set").insert(m.clone());
-        }
+impl<K: PartialOrd> Best<K> {
+    /// Precheck → evaluate → NaN check → keep the better candidate.
+    fn step(&mut self, worker: &mut dyn WorkerEvaluator, key: K, depth: ChangeDepth, m: Mapping) {
+        self.stats.generated += 1;
         if !worker.precheck(&m, depth) {
-            stats.pruned += 1;
-            continue;
+            self.stats.pruned += 1;
+            return;
         }
         match worker.evaluate(&m, depth) {
-            // NaN counted invalid, as in every other search path:
-            // unordered values would break the deterministic reduction
             Some(v) if !v.is_nan() => {
-                stats.evaluated += 1;
-                if beats_key(v, key, &local) {
-                    local = Some((v, key, m));
-                }
+                self.stats.evaluated += 1;
+                self.offer(v, key, m);
             }
-            _ => stats.invalid += 1,
+            _ => self.stats.invalid += 1,
         }
     }
-    (local, stats)
-}
 
-/// Walks the hybrid strategy's seeded sample tail, folding survivors of
-/// the prefix dedup filter into `best`/`stats` under sampled candidate
-/// keys. Shared by the in-process sharded search and shard 0 of the
-/// per-process path.
-#[allow(clippy::too_many_arguments)]
-fn walk_sample_tail<E: CandidateEvaluator + ?Sized>(
-    space: &Mapspace,
-    samples: usize,
-    seed: u64,
-    sampling: SampleStrategy,
-    seen: &HashSet<Mapping>,
-    evaluator: &E,
-    best: &mut Option<(f64, CandidateKey, Mapping)>,
-    stats: &mut SearchStats,
-) {
-    // the sample tail is one seeded sequence: it runs sequentially,
-    // deduplicated against the complete prefix exactly like the
-    // unsharded hybrid stream (sampled keys order after all enumerated
-    // keys, matching the tail's stream position); sampled draws share
-    // no prefix, so every one is a Reset
-    let mut worker = evaluator.worker();
-    for (i, m) in sample_tail(space, samples, seed, sampling)
-        .filter(|m| !seen.contains(m))
-        .enumerate()
-    {
-        let key = CandidateKey::sampled(i as u64);
-        stats.generated += 1;
-        if !worker.precheck(&m, ChangeDepth::Reset) {
-            stats.pruned += 1;
-            continue;
+    fn offer(&mut self, v: f64, key: K, m: Mapping) {
+        let beats = match &self.winner {
+            None => true,
+            Some((bv, bkey, _)) => v < *bv || (v == *bv && key < *bkey),
+        };
+        if beats {
+            self.winner = Some((v, key, m));
         }
-        match worker.evaluate(&m, ChangeDepth::Reset) {
-            Some(v) if !v.is_nan() => {
-                stats.evaluated += 1;
-                if beats_key(v, key, best) {
-                    *best = Some((v, key, m));
-                }
-            }
-            _ => stats.invalid += 1,
+    }
+
+    /// Steps through a keyed stream with one fresh stateful worker.
+    fn walk<E: CandidateEvaluator + ?Sized>(
+        mut self,
+        evaluator: &E,
+        stream: impl Iterator<Item = (K, ChangeDepth, Mapping)>,
+    ) -> Self {
+        let mut worker = evaluator.worker();
+        for (key, depth, m) in stream {
+            self.step(&mut *worker, key, depth, m);
         }
+        self
+    }
+
+    /// Reduction of two disjoint walks: summed counters, better winner.
+    fn merge(mut self, other: Best<K>) -> Self {
+        self.stats.absorb(&other.stats);
+        if let Some((v, key, m)) = other.winner {
+            self.offer(v, key, m);
+        }
+        self
+    }
+
+    fn finish(self) -> (Option<SearchResult>, SearchStats) {
+        let result = self
+            .winner
+            .map(|(objective, _, mapping)| SearchResult { mapping, objective });
+        (result, self.stats)
     }
 }
 
-/// Evaluates every shard of the space's enumerated stream concurrently,
-/// returning the `(value, key)`-minimal winner plus summed counters.
-/// `record` (the hybrid prefix dedup set) receives every produced
-/// candidate when present.
-fn sharded_enumerate_search<E: CandidateEvaluator + ?Sized>(
-    space: &Mapspace,
+/// Threaded walk: `workers` pool tasks pull [`PAR_BATCH`]-sized batches
+/// off the shared keyed stream, each keeping a local [`Best`]; the
+/// locals are merged once every task has drained.
+fn par_walk<E: CandidateEvaluator + ?Sized>(
+    stream: impl Iterator<Item = (usize, ChangeDepth, Mapping)> + Send,
     evaluator: &E,
-    limit: usize,
-    shards: usize,
-    record: Option<&Mutex<HashSet<Mapping>>>,
-) -> (Option<(f64, CandidateKey, Mapping)>, SearchStats) {
-    let generated = AtomicUsize::new(0);
-    let pruned = AtomicUsize::new(0);
-    let evaluated = AtomicUsize::new(0);
-    let invalid = AtomicUsize::new(0);
-    let best: Mutex<Option<(f64, CandidateKey, Mapping)>> = Mutex::new(None);
-
+    workers: usize,
+) -> Best<usize> {
+    let stream = Mutex::new(stream);
+    let mut locals: Vec<Best<usize>> = (0..workers).map(|_| Best::default()).collect();
     rayon::scope(|s| {
-        let (generated, pruned, evaluated, invalid, best) =
-            (&generated, &pruned, &evaluated, &invalid, &best);
-        for mut shard in space.shards(shards, limit) {
+        for local in locals.iter_mut() {
+            let stream = &stream;
             s.spawn(move |_| {
-                let (local, s) = walk_shard(&mut shard, evaluator, record);
-                generated.fetch_add(s.generated, Ordering::Relaxed);
-                pruned.fetch_add(s.pruned, Ordering::Relaxed);
-                evaluated.fetch_add(s.evaluated, Ordering::Relaxed);
-                invalid.fetch_add(s.invalid, Ordering::Relaxed);
-                if let Some((v, key, m)) = local {
-                    let mut global = best.lock().expect("best slot poisoned");
-                    if beats_key(v, key, &global) {
-                        *global = Some((v, key, m));
+                let mut worker = evaluator.worker();
+                loop {
+                    let batch: Vec<(usize, ChangeDepth, Mapping)> = {
+                        let mut it = stream.lock().expect("candidate stream poisoned");
+                        it.by_ref().take(PAR_BATCH).collect()
+                    };
+                    if batch.is_empty() {
+                        break;
+                    }
+                    for (pos, (idx, depth, m)) in batch.into_iter().enumerate() {
+                        // a batch's first candidate follows one that
+                        // (usually) went to another worker: its depth
+                        // relation does not hold for THIS worker's
+                        // caches, so it must recompute from scratch
+                        let depth = if pos == 0 { ChangeDepth::Reset } else { depth };
+                        local.step(&mut *worker, idx, depth, m);
                     }
                 }
             });
         }
     });
-
-    let stats = SearchStats {
-        generated: generated.into_inner(),
-        pruned: pruned.into_inner(),
-        evaluated: evaluated.into_inner(),
-        invalid: invalid.into_inner(),
-    };
-    (best.into_inner().expect("best slot poisoned"), stats)
+    locals.into_iter().fold(Best::default(), Best::merge)
 }
 
 #[cfg(test)]
@@ -855,6 +587,22 @@ mod tests {
     use super::*;
     use sparseloop_arch::{ArchitectureBuilder, ComputeSpec, StorageLevel};
     use sparseloop_tensor::einsum::Einsum;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// The sequential scan every other execution mode must reproduce.
+    const SEQ: Exec = Exec::Threads(Some(1));
+
+    /// Every execution mode the parity tests sweep.
+    const EXECS: [Exec; 8] = [
+        Exec::Threads(Some(1)),
+        Exec::Threads(Some(2)),
+        Exec::Threads(Some(3)),
+        Exec::Threads(Some(8)),
+        Exec::Shards(1),
+        Exec::Shards(2),
+        Exec::Shards(3),
+        Exec::Shards(7),
+    ];
 
     fn setup() -> Mapspace {
         let e = Einsum::matmul(8, 8, 8);
@@ -874,15 +622,34 @@ mod tests {
         Some(1.0 / inner as f64)
     }
 
+    /// Winner as comparable bits: `(objective bits, mapping)`.
+    fn bits(r: &Option<SearchResult>) -> Option<(u64, &Mapping)> {
+        r.as_ref().map(|r| (r.objective.to_bits(), &r.mapping))
+    }
+
+    /// Asserts every mode of [`EXECS`] returns the sequential scan's
+    /// winner (objective bits included) and counters; returns the scan.
+    fn assert_exec_parity<E: CandidateEvaluator>(
+        mapper: Mapper,
+        space: &Mapspace,
+        evaluator: &E,
+    ) -> (Option<SearchResult>, SearchStats) {
+        let (seq, seq_stats) = mapper.search(space, evaluator, SEQ);
+        for exec in EXECS {
+            let (got, stats) = mapper.search(space, evaluator, exec);
+            assert_eq!(bits(&got), bits(&seq), "{exec:?} {mapper:?}");
+            assert_eq!(stats, seq_stats, "{exec:?} {mapper:?}");
+        }
+        (seq, seq_stats)
+    }
+
     #[test]
     fn exhaustive_finds_optimum() {
         let space = setup();
-        let r = Mapper::Exhaustive { limit: 100_000 }
-            .search(&space, toy_objective)
-            .unwrap();
+        let (r, stats) = Mapper::Exhaustive { limit: 100_000 }.search(&space, &toy_objective, SEQ);
         // optimum puts everything innermost: product 512
-        assert!((r.objective - 1.0 / 512.0).abs() < 1e-12);
-        assert!(r.stats.evaluated > 0);
+        assert!((r.unwrap().objective - 1.0 / 512.0).abs() < 1e-12);
+        assert!(stats.evaluated > 0);
     }
 
     #[test]
@@ -892,8 +659,8 @@ mod tests {
             samples: 64,
             seed: 42,
         };
-        let a = m.search(&space, toy_objective).unwrap();
-        let b = m.search(&space, toy_objective).unwrap();
+        let a = m.search(&space, &toy_objective, SEQ).0.unwrap();
+        let b = m.search(&space, &toy_objective, SEQ).0.unwrap();
         assert_eq!(a.objective, b.objective);
         assert_eq!(a.mapping, b.mapping);
     }
@@ -901,42 +668,43 @@ mod tests {
     #[test]
     fn invalid_candidates_counted() {
         let space = setup();
-        let mut calls = 0usize;
-        let r = Mapper::Exhaustive { limit: 50 }
-            .search(&space, |m| {
-                calls += 1;
-                if calls.is_multiple_of(2) {
-                    None
-                } else {
-                    toy_objective(m)
-                }
-            })
-            .unwrap();
-        assert!(r.stats.invalid > 0);
-        assert_eq!(r.stats.invalid + r.stats.evaluated, r.stats.generated);
+        let calls = AtomicUsize::new(0);
+        let every_other = |m: &Mapping| {
+            if (calls.fetch_add(1, Ordering::Relaxed) + 1).is_multiple_of(2) {
+                None
+            } else {
+                toy_objective(m)
+            }
+        };
+        let (r, stats) = Mapper::Exhaustive { limit: 50 }.search(&space, &every_other, SEQ);
+        assert!(r.is_some());
+        assert!(stats.invalid > 0);
+        assert_eq!(stats.invalid + stats.evaluated, stats.generated);
     }
 
     #[test]
     fn all_invalid_returns_none() {
         let space = setup();
-        let r = Mapper::Exhaustive { limit: 10 }.search(&space, |_| None);
+        let reject = |_: &Mapping| -> Option<f64> { None };
+        let (r, stats) = Mapper::Exhaustive { limit: 10 }.search(&space, &reject, SEQ);
         assert!(r.is_none());
+        assert_eq!(stats.invalid, 10, "the fruitless walk is still counted");
     }
 
     #[test]
     fn hybrid_covers_both_sources() {
         let space = setup();
-        let r = Mapper::Hybrid {
+        let (r, stats) = Mapper::Hybrid {
             enumerate: 10,
             samples: 10,
             seed: 1,
             sampling: SampleStrategy::Uniform,
         }
-        .search(&space, toy_objective)
-        .unwrap();
+        .search(&space, &toy_objective, SEQ);
+        assert!(r.is_some());
         // at least the enumerated prefix; sampled duplicates of the
         // prefix are dropped, so the total may fall short of 20
-        assert!(r.stats.generated >= 10 && r.stats.generated <= 20);
+        assert!(stats.generated >= 10 && stats.generated <= 20);
     }
 
     #[test]
@@ -977,19 +745,12 @@ mod tests {
         assert_eq!(stream.len(), 64, "no sampled candidate can be new");
         // the searches agree with plain exhaustive enumeration, counters
         // included (sampled duplicates were never generated)
-        let exhaustive = Mapper::Exhaustive { limit: 64 }
-            .search(&space, toy_objective)
-            .unwrap();
-        let hybrid = covered.search(&space, toy_objective).unwrap();
-        assert_eq!(hybrid.mapping, exhaustive.mapping);
-        assert_eq!(hybrid.objective, exhaustive.objective);
-        assert_eq!(hybrid.stats, exhaustive.stats);
-        // sharded path takes the same shortcut and stays bit-identical
-        let sharded = covered.search_sharded(&space, &EvenPruner, 3).unwrap();
-        let unsharded = covered.search_pruned(&space, &EvenPruner).unwrap();
-        assert_eq!(sharded.mapping, unsharded.mapping);
-        assert_eq!(sharded.objective, unsharded.objective);
-        assert_eq!(sharded.stats, unsharded.stats);
+        let exhaustive = Mapper::Exhaustive { limit: 64 }.search(&space, &toy_objective, SEQ);
+        let hybrid = covered.search(&space, &toy_objective, SEQ);
+        assert_eq!(bits(&hybrid.0), bits(&exhaustive.0));
+        assert_eq!(hybrid.1, exhaustive.1);
+        // the sharded walk takes the same shortcut and stays identical
+        assert_exec_parity(covered, &space, &EvenPruner);
     }
 
     #[test]
@@ -1029,10 +790,8 @@ mod tests {
         // the stream is lazy: generated reflects candidates actually
         // drawn, and a tiny limit draws no more than that
         let space = setup();
-        let r = Mapper::Exhaustive { limit: 7 }
-            .search(&space, toy_objective)
-            .unwrap();
-        assert_eq!(r.stats.generated, 7);
+        let (_, stats) = Mapper::Exhaustive { limit: 7 }.search(&space, &toy_objective, SEQ);
+        assert_eq!(stats.generated, 7);
     }
 
     /// Evaluator pruning even innermost-products, matching an objective
@@ -1058,43 +817,32 @@ mod tests {
     #[test]
     fn precheck_prunes_and_accounts() {
         let space = setup();
-        let r = Mapper::Exhaustive { limit: 10_000 }
-            .search_pruned(&space, &EvenPruner)
-            .unwrap();
-        assert!(r.stats.pruned > 0, "some candidates must be pruned");
+        let mapper = Mapper::Exhaustive { limit: 10_000 };
+        let (r, stats) = mapper.search(&space, &EvenPruner, SEQ);
+        assert!(stats.pruned > 0, "some candidates must be pruned");
         assert_eq!(
-            r.stats.pruned + r.stats.evaluated + r.stats.invalid,
-            r.stats.generated
+            stats.pruned + stats.evaluated + stats.invalid,
+            stats.generated
         );
         // pruning must not change the winner vs. the plain objective
-        let plain = Mapper::Exhaustive { limit: 10_000 }
-            .search(&space, |m| EvenPruner.evaluate(m))
-            .unwrap();
-        assert_eq!(r.objective, plain.objective);
-        assert_eq!(r.mapping, plain.mapping);
+        let (plain, _) = mapper.search(&space, &|m: &Mapping| EvenPruner.evaluate(m), SEQ);
+        assert_eq!(bits(&r), bits(&plain));
     }
 
     #[test]
     fn par_search_matches_sequential_exhaustive() {
         let space = setup();
-        let objective = |m: &Mapping| toy_objective(m);
-        let seq = Mapper::Exhaustive { limit: 100_000 }
-            .search_pruned(&space, &objective)
-            .unwrap();
-        for threads in [2, 3, 8] {
-            let par = Mapper::Exhaustive { limit: 100_000 }
-                .par_search(&space, &objective, Some(threads))
-                .unwrap();
-            assert_eq!(par.objective, seq.objective, "threads={threads}");
-            assert_eq!(par.mapping, seq.mapping, "threads={threads}");
-            assert_eq!(par.stats, seq.stats, "threads={threads}");
-        }
+        let (seq, _) = assert_exec_parity(
+            Mapper::Exhaustive { limit: 100_000 },
+            &space,
+            &toy_objective,
+        );
+        assert!(seq.is_some());
     }
 
     #[test]
     fn par_search_matches_sequential_random_and_hybrid() {
         let space = setup();
-        let objective = |m: &Mapping| toy_objective(m);
         for mapper in [
             Mapper::Random {
                 samples: 200,
@@ -1107,25 +855,19 @@ mod tests {
                 sampling: SampleStrategy::Uniform,
             },
         ] {
-            let seq = mapper.search_pruned(&space, &objective).unwrap();
-            let par = mapper.par_search(&space, &objective, Some(4)).unwrap();
-            assert_eq!(par.objective, seq.objective);
-            assert_eq!(par.mapping, seq.mapping);
+            assert!(assert_exec_parity(mapper, &space, &toy_objective)
+                .0
+                .is_some());
         }
     }
 
     #[test]
     fn par_search_with_pruning_evaluator() {
         let space = setup();
-        let seq = Mapper::Exhaustive { limit: 50_000 }
-            .search_pruned(&space, &EvenPruner)
-            .unwrap();
-        let par = Mapper::Exhaustive { limit: 50_000 }
-            .par_search(&space, &EvenPruner, Some(4))
-            .unwrap();
-        assert_eq!(par.objective, seq.objective);
-        assert_eq!(par.mapping, seq.mapping);
-        assert_eq!(par.stats, seq.stats);
+        let (seq, stats) =
+            assert_exec_parity(Mapper::Exhaustive { limit: 50_000 }, &space, &EvenPruner);
+        assert!(seq.is_some());
+        assert!(stats.pruned > 0);
     }
 
     #[test]
@@ -1140,47 +882,25 @@ mod tests {
                 Some(1.0 / inner as f64)
             }
         };
-        let seq = Mapper::Exhaustive { limit: 100_000 }
-            .search(&space, nan_obj)
-            .unwrap();
-        assert!(seq.stats.invalid > 0, "NaN candidates count as invalid");
-        assert!(!seq.objective.is_nan());
-        let par = Mapper::Exhaustive { limit: 100_000 }
-            .par_search(&space, &nan_obj, Some(4))
-            .unwrap();
-        assert_eq!(par.objective, seq.objective);
-        assert_eq!(par.mapping, seq.mapping);
-        assert_eq!(par.stats, seq.stats);
+        let (seq, stats) =
+            assert_exec_parity(Mapper::Exhaustive { limit: 100_000 }, &space, &nan_obj);
+        assert!(stats.invalid > 0, "NaN candidates count as invalid");
+        assert!(!seq.unwrap().objective.is_nan());
     }
 
     #[test]
     fn search_sharded_matches_par_search_exhaustive() {
+        // limits both above and *below* the space size: the shard census
+        // must reproduce the exact global cutoff
         let space = setup();
-        let objective = |m: &Mapping| toy_objective(m);
-        // limits both above and *below* the space size: the census must
-        // reproduce the exact global cutoff
         for limit in [7, 100, 100_000] {
-            let mapper = Mapper::Exhaustive { limit };
-            let (seq, seq_stats) = mapper.search_pruned_counted(&space, &objective);
-            for shards in [1, 2, 3, 7] {
-                let (got, stats) = mapper.search_sharded_counted(&space, &objective, shards);
-                match (&got, &seq) {
-                    (Some(a), Some(b)) => {
-                        assert_eq!(a.objective, b.objective, "shards={shards} limit={limit}");
-                        assert_eq!(a.mapping, b.mapping, "shards={shards} limit={limit}");
-                    }
-                    (None, None) => {}
-                    other => panic!("sharded/sequential disagree: {other:?}"),
-                }
-                assert_eq!(stats, seq_stats, "shards={shards} limit={limit}");
-            }
+            assert_exec_parity(Mapper::Exhaustive { limit }, &space, &toy_objective);
         }
     }
 
     #[test]
     fn search_sharded_matches_par_search_hybrid_and_random() {
         let space = setup();
-        let objective = |m: &Mapping| toy_objective(m);
         for mapper in [
             Mapper::Hybrid {
                 enumerate: 64,
@@ -1199,37 +919,27 @@ mod tests {
                 seed: 9,
             },
         ] {
-            let (seq, seq_stats) = mapper.search_pruned_counted(&space, &objective);
-            for shards in [1, 2, 3] {
-                let (got, stats) = mapper.search_sharded_counted(&space, &objective, shards);
-                let (a, b) = (got.unwrap(), seq.clone().unwrap());
-                assert_eq!(a.objective, b.objective, "shards={shards} {mapper:?}");
-                assert_eq!(a.mapping, b.mapping, "shards={shards} {mapper:?}");
-                assert_eq!(stats, seq_stats, "shards={shards} {mapper:?}");
-            }
+            assert!(assert_exec_parity(mapper, &space, &toy_objective)
+                .0
+                .is_some());
         }
     }
 
     #[test]
     fn search_sharded_with_pruning_evaluator() {
         let space = setup();
-        let seq = Mapper::Exhaustive { limit: 50_000 }
-            .search_pruned(&space, &EvenPruner)
-            .unwrap();
-        let sharded = Mapper::Exhaustive { limit: 50_000 }
-            .search_sharded(&space, &EvenPruner, 4)
-            .unwrap();
-        assert_eq!(sharded.objective, seq.objective);
-        assert_eq!(sharded.mapping, seq.mapping);
-        assert_eq!(sharded.stats, seq.stats);
+        let mapper = Mapper::Exhaustive { limit: 50_000 };
+        let (seq, seq_stats) = mapper.search(&space, &EvenPruner, SEQ);
+        let (sharded, stats) = mapper.search(&space, &EvenPruner, Exec::Shards(4));
+        assert_eq!(bits(&sharded), bits(&seq));
+        assert_eq!(stats, seq_stats);
     }
 
     #[test]
     fn search_sharded_all_invalid_returns_none_with_stats() {
         let space = setup();
         let reject = |_: &Mapping| -> Option<f64> { None };
-        let (result, stats) =
-            Mapper::Exhaustive { limit: 10 }.search_sharded_counted(&space, &reject, 3);
+        let (result, stats) = assert_exec_parity(Mapper::Exhaustive { limit: 10 }, &space, &reject);
         assert!(result.is_none());
         assert_eq!(stats.generated, 10);
         assert_eq!(stats.invalid, 10);
@@ -1255,11 +965,10 @@ mod tests {
     fn per_shard_merge_matches_in_process_sharded_search() {
         // the multi-process contract: running search_shard_counted for
         // every shard index (as worker processes would) and merging must
-        // reproduce search_sharded_counted bit-identically — winner
+        // reproduce the sequential scan bit-identically — winner
         // mapping, objective bits, and summed counters — for every
         // strategy and shard count
         let space = setup();
-        let objective = |m: &Mapping| toy_objective(m);
         for mapper in [
             Mapper::Exhaustive { limit: 100_000 },
             Mapper::Exhaustive { limit: 7 },
@@ -1286,23 +995,12 @@ mod tests {
                 seed: 9,
             },
         ] {
-            let (whole, whole_stats) = mapper.search_sharded_counted(&space, &objective, 3);
+            let (whole, whole_stats) = mapper.search(&space, &toy_objective, SEQ);
             for shards in [1, 2, 3] {
-                let parts =
-                    (0..shards).map(|k| mapper.search_shard_counted(&space, &objective, k, shards));
+                let parts = (0..shards)
+                    .map(|k| mapper.search_shard_counted(&space, &toy_objective, k, shards));
                 let (merged, stats) = merge_shard_results(parts);
-                match (&merged, &whole) {
-                    (Some(a), Some(b)) => {
-                        assert_eq!(
-                            a.objective.to_bits(),
-                            b.objective.to_bits(),
-                            "shards={shards} {mapper:?}"
-                        );
-                        assert_eq!(a.mapping, b.mapping, "shards={shards} {mapper:?}");
-                    }
-                    (None, None) => {}
-                    other => panic!("merged/in-process disagree: {other:?}"),
-                }
+                assert_eq!(bits(&merged), bits(&whole), "shards={shards} {mapper:?}");
                 assert_eq!(stats, whole_stats, "shards={shards} {mapper:?}");
             }
         }
@@ -1311,16 +1009,12 @@ mod tests {
     #[test]
     fn per_shard_merge_with_pruning_evaluator() {
         let space = setup();
-        let whole = Mapper::Exhaustive { limit: 50_000 }
-            .search_sharded(&space, &EvenPruner, 4)
-            .unwrap();
-        let parts = (0..4).map(|k| {
-            Mapper::Exhaustive { limit: 50_000 }.search_shard_counted(&space, &EvenPruner, k, 4)
-        });
-        let merged = merge_shard_results(parts).0.unwrap();
-        assert_eq!(merged.objective, whole.objective);
-        assert_eq!(merged.mapping, whole.mapping);
-        assert_eq!(merged.stats, whole.stats);
+        let mapper = Mapper::Exhaustive { limit: 50_000 };
+        let whole = mapper.search(&space, &EvenPruner, SEQ);
+        let parts = (0..4).map(|k| mapper.search_shard_counted(&space, &EvenPruner, k, 4));
+        let merged = merge_shard_results(parts);
+        assert_eq!(bits(&merged.0), bits(&whole.0));
+        assert_eq!(merged.1, whole.1);
     }
 
     #[test]
@@ -1332,17 +1026,16 @@ mod tests {
             WireReader, WireWriter,
         };
         let space = setup();
-        let objective = |m: &Mapping| toy_objective(m);
         let mapper = Mapper::Hybrid {
             enumerate: 40,
             samples: 60,
             seed: 7,
             sampling: SampleStrategy::Uniform,
         };
-        let (whole, whole_stats) = mapper.search_sharded_counted(&space, &objective, 3);
+        let (whole, whole_stats) = mapper.search(&space, &toy_objective, SEQ);
         let mut parts = Vec::new();
         for k in 0..3 {
-            let (winner, stats) = mapper.search_shard_counted(&space, &objective, k, 3);
+            let (winner, stats) = mapper.search_shard_counted(&space, &toy_objective, k, 3);
             let mut w = WireWriter::new();
             encode_stats(&mut w, &stats);
             match &winner {
@@ -1369,9 +1062,8 @@ mod tests {
             parts.push((winner, stats));
         }
         let (merged, stats) = merge_shard_results(parts);
-        let (a, b) = (merged.unwrap(), whole.unwrap());
-        assert_eq!(a.objective.to_bits(), b.objective.to_bits());
-        assert_eq!(a.mapping, b.mapping);
+        assert!(merged.is_some());
+        assert_eq!(bits(&merged), bits(&whole));
         assert_eq!(stats, whole_stats);
     }
 
@@ -1379,8 +1071,9 @@ mod tests {
     fn par_search_all_invalid_returns_none() {
         let space = setup();
         let reject = |_: &Mapping| -> Option<f64> { None };
-        assert!(Mapper::Exhaustive { limit: 10 }
-            .par_search(&space, &reject, Some(4))
-            .is_none());
+        let (r, stats) =
+            Mapper::Exhaustive { limit: 10 }.search(&space, &reject, Exec::Threads(Some(4)));
+        assert!(r.is_none());
+        assert_eq!(stats.generated, 10);
     }
 }

@@ -6,7 +6,7 @@ use crate::queue::{Admission, BoundedQueue, Priority};
 use crate::supervisor::HostError;
 use sparseloop_core::{EvalJob, EvalSession, JobError, JobOutcome};
 use sparseloop_designs::ScenarioRegistry;
-use sparseloop_mapping::SearchStats;
+use sparseloop_mapping::{Exec, SearchStats};
 use sparseloop_obs::{
     Counter, Gauge, HealthStatus, Histogram, MetricsSnapshot, ObsHub, ObsServer, ObsServerHooks,
     RecordedRequest, RequestOutcome, SpanKind, TraceContext, LATENCY_BUCKETS_NANOS,
@@ -28,9 +28,9 @@ pub struct ServeConfig {
     /// Bounded queue capacity; [`EvalService::submit`] refuses admission
     /// beyond it (backpressure).
     pub queue_capacity: usize,
-    /// Shard count for search jobs
-    /// ([`EvalSession::search_batch_sharded`]); results are bit-identical
-    /// at any value.
+    /// Shard count for search jobs (`Exec::Shards` in
+    /// [`EvalSession::search_batch`]); results are bit-identical at any
+    /// value.
     pub shards: usize,
     /// Recycle the shared session once its intern maps hold at least
     /// this many slots (density models + format slots). `None`: never
@@ -796,15 +796,12 @@ impl Shared {
     ) -> Result<ServeReply, ServeError> {
         let probe = || cancel.is_canceled();
         let probe: Option<&(dyn Fn() -> bool + Sync)> = Some(&probe);
-        match request {
+        let exec = Exec::Shards(self.config.shards);
+        let outcome = match request {
             ServeRequest::Job(job) => {
-                let mut results = session.search_batch_sharded_with(
-                    std::slice::from_ref(&**job),
-                    self.config.shards,
-                    probe,
-                );
+                let mut results = session.search_batch(std::slice::from_ref(&**job), exec, probe);
                 let result = results.pop().expect("one job in, one result out");
-                Ok(ServeReply::Job(Box::new(result)))
+                return Ok(ServeReply::Job(Box::new(result)));
             }
             ServeRequest::Scenario(name) => {
                 let scenario = self
@@ -813,14 +810,15 @@ impl Shared {
                     .ok_or_else(|| ServeError::UnknownScenario(name.clone()))?;
                 // same emit→dispatch path the supervisor's
                 // `run_scenario` uses; enforced bit-identical to the
-                // in-process run by the fleet round-trip suite
-                if let Some(reply) =
-                    self.try_fleet(&sparseloop_spec::emit_scenario(scenario), ctx, degraded)?
-                {
-                    return Ok(ServeReply::Scenario(reply));
+                // in-process run by the fleet round-trip suite. The spec
+                // text is only emitted when a fleet will read it.
+                if self.fleet.is_some() {
+                    let text = sparseloop_spec::emit_scenario(scenario);
+                    if let Some(reply) = self.try_fleet(&text, ctx, degraded)? {
+                        return Ok(ServeReply::Scenario(reply));
+                    }
                 }
-                let outcome = scenario.run_sharded_with(session, self.config.shards, probe);
-                Ok(ServeReply::Scenario(scenario_reply(outcome)))
+                scenario.run_exec(session, exec, probe)
             }
             ServeRequest::Spec(text) => {
                 // compile first so malformed specs fail identically with
@@ -831,10 +829,10 @@ impl Shared {
                 if let Some(reply) = self.try_fleet(text, ctx, degraded)? {
                     return Ok(ServeReply::Scenario(reply));
                 }
-                let outcome = scenario.run_sharded_with(session, self.config.shards, probe);
-                Ok(ServeReply::Scenario(scenario_reply(outcome)))
+                scenario.run_exec(session, exec, probe)
             }
-        }
+        };
+        Ok(ServeReply::Scenario(scenario_reply(outcome)))
     }
 
     /// Post-request bookkeeping: track the intern-slot high-water mark
@@ -945,7 +943,8 @@ fn worker_loop(shared: &Shared) {
             Ok(reply) => {
                 // the token tripping mid-request classifies it as
                 // canceled even when a partial reply exists — the
-                // invariant is one bucket per admitted request
+                // invariant is one bucket per admitted request, and the
+                // caller's reply follows that bucket
                 let canceled = cancel.is_canceled();
                 {
                     let mut c = shared.counters();
@@ -980,26 +979,27 @@ fn worker_loop(shared: &Shared) {
                             start,
                         );
                     }
+                    // the search work was done either way: count it
                     obs.absorb_reply(&reply);
                 }
-                let recorded = if canceled {
+                let reply = if canceled {
+                    Err(ServeError::Canceled)
+                } else {
+                    reply
+                };
+                let recorded = match &reply {
+                    Ok(_) if degraded => RequestOutcome::Degraded,
+                    Ok(_) => RequestOutcome::Ok,
+                    Err(ServeError::Shed { .. }) => RequestOutcome::Shed,
+                    Err(ServeError::Panicked(_)) => RequestOutcome::Panicked,
                     // a tripped deadline and an explicit cancel look the
                     // same to the eval loop; the recorder distinguishes
                     // them so `/traces` can show which deadline fired
-                    if deadline_expired(&cancel) {
+                    Err(ServeError::Canceled) if deadline_expired(&cancel) => {
                         RequestOutcome::DeadlineExceeded
-                    } else {
-                        RequestOutcome::Canceled
                     }
-                } else {
-                    match &reply {
-                        Ok(_) if degraded => RequestOutcome::Degraded,
-                        Ok(_) => RequestOutcome::Ok,
-                        Err(ServeError::Shed { .. }) => RequestOutcome::Shed,
-                        Err(ServeError::Panicked(_)) => RequestOutcome::Panicked,
-                        Err(ServeError::Canceled) => RequestOutcome::Canceled,
-                        Err(_) => RequestOutcome::Error,
-                    }
+                    Err(ServeError::Canceled) => RequestOutcome::Canceled,
+                    Err(_) => RequestOutcome::Error,
                 };
                 shared.record_outcome(request_id, enqueued_nanos, recorded);
                 // the submitter may have dropped its ticket; that is fine
@@ -1479,9 +1479,8 @@ mod tests {
         else {
             unreachable!()
         };
-        let (mapping, eval, stats) = model
-            .search_parallel_with_stats(&space, mapper, objective, Some(2))
-            .unwrap();
+        let (best, stats) = model.search(&space, mapper, objective, Exec::Threads(Some(2)));
+        let (mapping, eval) = best.unwrap();
         assert_eq!(outcome.mapping, mapping);
         assert_eq!(outcome.eval.edp, eval.edp);
         assert_eq!(outcome.eval.cycles, eval.cycles);
@@ -1610,33 +1609,92 @@ mod tests {
                 return;
             }
         };
-        // the reply still resolves: completed experiments are kept, the
-        // tail past the cancellation checkpoint (if any — whether a
-        // given experiment beat the cancel is a timing race) is skipped
-        let reply = ticket.wait().unwrap().into_scenario();
-        for r in &reply.results {
-            assert!(
-                matches!(r, Ok(_) | Err(JobError::Canceled)),
-                "partial reply may only hold completed or canceled entries, got {r:?}"
-            );
-        }
+        // whether the worker saw the trip before it finished is a timing
+        // race (a loaded runner can finish the whole scenario between
+        // the timeout and the first check) — but the reply follows the
+        // bucket that claims the request: a canceled request resolves
+        // to `Canceled`, a completed one carries every experiment
+        let reply = ticket.wait();
         let stats = service.shutdown();
-        // whether the worker saw the trip before its last checkpoint is
-        // a timing race (a loaded runner can finish the whole scenario
-        // between the timeout and the first check) — but exactly one
-        // bucket must claim the request, and a completed claim is only
-        // legitimate if every experiment actually finished
         assert_eq!(stats.completed + stats.canceled, 1);
-        if stats.completed == 1 {
-            assert!(
-                reply.results.iter().all(Result::is_ok),
-                "a request counted completed may not carry canceled entries"
-            );
+        match reply {
+            Err(ServeError::Canceled) => assert_eq!(stats.canceled, 1),
+            Ok(reply) => {
+                assert_eq!(stats.completed, 1);
+                assert!(
+                    reply.into_scenario().results.iter().all(Result::is_ok),
+                    "a request counted completed may not carry canceled entries"
+                );
+            }
+            Err(other) => panic!("expected a completed or canceled reply, got {other:?}"),
         }
         assert_eq!(
             stats.submitted,
             stats.completed + stats.panicked + stats.canceled
         );
+    }
+
+    /// A registry of one experiment-less scenario whose build runs
+    /// `hook` — a seam into the middle of a request.
+    fn hooked_registry(name: &str, hook: impl Fn() + Send + Sync + 'static) -> ScenarioRegistry {
+        ScenarioRegistry::new(vec![Scenario::new(name, "runs a hook", move || {
+            hook();
+            Vec::new()
+        })])
+    }
+
+    #[test]
+    fn request_canceled_mid_evaluation_resolves_canceled() {
+        // deterministic version of the mid-request cancel race: the
+        // scenario's first build parks until the test has canceled the
+        // ticket, so the worker is past the queue-side cancel check and
+        // the token trips while the request is in flight. Such a request
+        // is counted `canceled`, so its reply must be `Canceled` too —
+        // not a reply full of canceled jobs.
+        let barrier = Arc::new(std::sync::Barrier::new(2));
+        let first = AtomicBool::new(true);
+        let registry = {
+            let barrier = Arc::clone(&barrier);
+            hooked_registry("parked", move || {
+                if first.swap(false, Ordering::AcqRel) {
+                    barrier.wait(); // the worker is inside the request
+                    barrier.wait(); // the test has canceled the ticket
+                }
+            })
+        };
+        let service =
+            EvalService::start_with_registry(ServeConfig::default().with_workers(1), registry);
+        let ticket = service.submit_scenario("parked").unwrap();
+        barrier.wait();
+        ticket.cancel();
+        barrier.wait();
+        match ticket.wait() {
+            Err(ServeError::Canceled) => {}
+            other => panic!("a request counted canceled must resolve Canceled, got {other:?}"),
+        }
+        let stats = service.shutdown();
+        assert_eq!((stats.canceled, stats.completed), (1, 0));
+    }
+
+    #[test]
+    fn fleetless_scenario_builds_its_experiments_once() {
+        // without a fleet no spec text is emitted, so the scenario's
+        // experiment list is built exactly once per request
+        let builds = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let registry = {
+            let builds = Arc::clone(&builds);
+            hooked_registry("counted", move || {
+                builds.fetch_add(1, Ordering::Relaxed);
+            })
+        };
+        let service =
+            EvalService::start_with_registry(ServeConfig::default().with_workers(1), registry);
+        for round in 1..=3 {
+            let reply = service.submit_scenario("counted").unwrap().wait().unwrap();
+            assert_eq!(reply.into_scenario().name, "counted");
+            assert_eq!(builds.load(Ordering::Relaxed), round);
+        }
+        service.shutdown();
     }
 
     #[test]
@@ -2131,7 +2189,7 @@ mod tests {
             EvalService::start_with_fleet(ServeConfig::default().with_workers(2), pool.clone());
         let want = {
             let scenario = sparseloop_spec::compile_str(&text).unwrap().into_scenario();
-            scenario_reply(scenario.run_sharded(&EvalSession::new(), shards))
+            scenario_reply(scenario.run_exec(&EvalSession::new(), Exec::Shards(shards), None))
         };
         for round in 0..3 {
             let got = service

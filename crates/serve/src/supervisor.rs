@@ -8,8 +8,9 @@
 //! does. Because the per-shard walk is the *same code path*
 //! (`Model::search_shard_counted`) on both sides of the process
 //! boundary, the merged reply is bit-identical to
-//! [`Scenario::run_sharded`] — and stays bit-identical under any
-//! worker-failure schedule, because a lost shard is simply recomputed.
+//! [`Scenario::run_exec`] under `Exec::Shards` — and stays
+//! bit-identical under any worker-failure schedule, because a lost
+//! shard is simply recomputed.
 //!
 //! Supervision policy:
 //!
@@ -29,7 +30,7 @@
 //!   the whole request; expiry is [`HostError::DeadlineExceeded`].
 //! * **Graceful degradation behind a circuit breaker** — if workers
 //!   cannot spawn at all (bad binary path, fork limits), the request
-//!   runs in-process through [`Scenario::run_sharded`] instead of
+//!   runs in-process through [`Scenario::run_exec`] instead of
 //!   failing; counted in [`HostStats::degraded`]. Consecutive spawn
 //!   failures or exhausted-retry worker losses trip a per-host
 //!   [`CircuitBreaker`]: while it is open, requests short-circuit to
@@ -58,9 +59,9 @@ use crate::fault::{FaultPlan, WorkerFault};
 use crate::proc::{EventKind, WorkerEvent, WorkerHandle, WorkerSpawner};
 use crate::protocol::{ExpResult, Frame};
 use crate::service::{scenario_reply, ScenarioReply, SpecDiagnostic};
-use sparseloop_core::{EvalSession, JobError, JobOutcome, JobPlan};
+use sparseloop_core::{EvalSession, JobError, JobOutcome};
 use sparseloop_designs::{Scenario, ScenarioOutcome};
-use sparseloop_mapping::{merge_shard_results, SearchStats};
+use sparseloop_mapping::{merge_shard_results, Exec, SearchStats};
 use sparseloop_obs::{ObsHub, SpanKind, TraceContext, LATENCY_BUCKETS_NANOS};
 use std::collections::HashMap;
 use std::sync::mpsc;
@@ -600,7 +601,7 @@ impl<S: WorkerSpawner> ShardHost<S> {
         // each request rediscovers through spawn attempts and backoff
         if !self.breaker.allow() {
             self.stats.degraded += 1;
-            let outcome = scenario.run_sharded(&self.session, n);
+            let outcome = scenario.run_exec(&self.session, Exec::Shards(n), None);
             return Ok(scenario_reply(outcome));
         }
         if self.breaker.state() == BreakerState::HalfOpen {
@@ -616,7 +617,7 @@ impl<S: WorkerSpawner> ShardHost<S> {
                     self.stats.breaker_trips += 1;
                 }
                 self.stats.degraded += 1;
-                let outcome = scenario.run_sharded(&self.session, n);
+                let outcome = scenario.run_exec(&self.session, Exec::Shards(n), None);
                 return Ok(scenario_reply(outcome));
             }
         }
@@ -897,8 +898,10 @@ impl<S: WorkerSpawner> ShardHost<S> {
 
     /// Folds per-shard results into the reply, evaluating fixed-mapping
     /// experiments and re-evaluating merged search winners through the
-    /// parent session — the exact post-processing of the in-process
-    /// sharded search, so replies are bit-identical to it.
+    /// parent session with [`EvalJob::outcome`] — the step the in-process
+    /// batch driver runs, so replies are bit-identical to it.
+    ///
+    /// [`EvalJob::outcome`]: sparseloop_core::EvalJob::outcome
     fn merge(
         &self,
         scenario: &Scenario,
@@ -912,50 +915,23 @@ impl<S: WorkerSpawner> ShardHost<S> {
             let model =
                 self.session
                     .model(job.workload.clone(), job.arch.clone(), job.safs.clone());
-            let result = match &job.plan {
-                JobPlan::Fixed(mapping) => model
-                    .evaluate(mapping)
-                    .map(|eval| JobOutcome {
-                        mapping: mapping.clone(),
-                        eval,
-                        stats: SearchStats {
-                            generated: 1,
-                            evaluated: 1,
-                            ..SearchStats::default()
-                        },
-                    })
-                    .map_err(JobError::Eval),
-                JobPlan::Search { .. } => {
-                    let parts = shard_results.iter().map(|per_shard| {
-                        match per_shard.get(i) {
-                            Some(ExpResult::Winner {
-                                value,
-                                key,
-                                stats,
-                                mapping,
-                            }) => (Some((*value, *key, mapping.clone())), *stats),
-                            Some(ExpResult::NoWinner { stats }) => (None, *stats),
-                            // a worker that misunderstood the experiment
-                            // list contributes nothing; bit-identity
-                            // checks downstream will catch it
-                            Some(ExpResult::Skipped) | None => (None, SearchStats::default()),
-                        }
-                    });
-                    let (merged, stats) = merge_shard_results(parts);
-                    match merged {
-                        Some(r) => model
-                            .evaluate(&r.mapping)
-                            .map(|eval| JobOutcome {
-                                mapping: r.mapping,
-                                eval,
-                                stats,
-                            })
-                            .map_err(JobError::Eval),
-                        None => Err(JobError::NoValidCandidate { stats }),
+            results.push(job.outcome(&model, |_, _, _| {
+                merge_shard_results(shard_results.iter().map(|per_shard| {
+                    match per_shard.get(i) {
+                        Some(ExpResult::Winner {
+                            value,
+                            key,
+                            stats,
+                            mapping,
+                        }) => (Some((*value, *key, mapping.clone())), *stats),
+                        Some(ExpResult::NoWinner { stats }) => (None, *stats),
+                        // a worker that misunderstood the experiment list
+                        // contributes nothing; bit-identity checks
+                        // downstream will catch it
+                        Some(ExpResult::Skipped) | None => (None, SearchStats::default()),
                     }
-                }
-            };
-            results.push(result);
+                }))
+            }));
         }
         Ok(scenario_reply(ScenarioOutcome {
             name: scenario.name().to_string(),
@@ -1380,7 +1356,7 @@ mod tests {
 
     fn reference_reply(text: &str, shards: usize) -> ScenarioReply {
         let scenario = sparseloop_spec::compile_str(text).unwrap().into_scenario();
-        scenario_reply(scenario.run_sharded(&EvalSession::new(), shards))
+        scenario_reply(scenario.run_exec(&EvalSession::new(), Exec::Shards(shards), None))
     }
 
     fn assert_bit_identical(got: &ScenarioReply, want: &ScenarioReply, tag: &str) {

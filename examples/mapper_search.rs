@@ -7,7 +7,7 @@
 
 use sparseloop_core::{Model, Objective, Workload};
 use sparseloop_designs::fig1;
-use sparseloop_mapping::{Mapper, Mapspace};
+use sparseloop_mapping::{Exec, Mapper, Mapspace};
 use sparseloop_tensor::einsum::DimId;
 use sparseloop_workloads::spmspm;
 
@@ -20,32 +20,24 @@ fn main() {
         Mapspace::all_temporal(&layer.einsum, &dp.arch).with_spatial_dims(1, vec![DimId(1)]);
 
     // collect every valid candidate's EDP
-    let mut edps = Vec::new();
-    Mapper::Exhaustive { limit: 3000 }.search(&space, |m| {
-        let v = model.evaluate(m).ok().map(|e| e.edp);
-        if let Some(x) = v {
-            edps.push(x);
-        }
-        v
-    });
+    let mapper = Mapper::Exhaustive { limit: 3000 };
+    let mut edps: Vec<f64> = mapper
+        .candidates(&space)
+        .filter_map(|m| model.evaluate(&m).ok().map(|e| e.edp))
+        .collect();
     edps.sort_by(|a, b| a.partial_cmp(b).unwrap());
     assert!(!edps.is_empty(), "mapspace should contain valid mappings");
 
     // the production path: streaming candidates through the capacity
     // precheck, fanned out over all cores, deterministically reduced
-    let (best, eval, stats) = model
-        .search_parallel_with_stats(
-            &space,
-            Mapper::Exhaustive { limit: 3000 },
-            Objective::Edp,
-            None,
-        )
-        .expect("search succeeds");
-    let (seq_best, seq_eval) = model
-        .search(&space, Mapper::Exhaustive { limit: 3000 }, Objective::Edp)
-        .expect("search succeeds");
+    let (winner, stats) = model.search(&space, mapper, Objective::Edp, Exec::Threads(None));
+    let (best, eval) = winner.expect("search succeeds");
+    let (seq_winner, seq_stats) =
+        model.search(&space, mapper, Objective::Edp, Exec::Threads(Some(1)));
+    let (seq_best, seq_eval) = seq_winner.expect("search succeeds");
     assert_eq!(best, seq_best, "parallel and sequential winners agree");
     assert_eq!(eval.edp, seq_eval.edp);
+    assert_eq!(stats, seq_stats);
     println!("candidates generated : {}", stats.generated);
     println!("capacity-prechecked  : {} pruned", stats.pruned);
     println!("fully evaluated      : {}", stats.evaluated);

@@ -2,7 +2,7 @@
 
 use sparseloop_core::{Model, Objective, Workload};
 use sparseloop_designs::fig1;
-use sparseloop_mapping::{Mapper, Mapspace};
+use sparseloop_mapping::{Exec, Mapper, Mapspace};
 use sparseloop_tensor::einsum::DimId;
 use sparseloop_workloads::spmspm;
 
@@ -34,7 +34,9 @@ fn searched_mapping_beats_naive_mapping() {
                 sampling: sparseloop_mapping::SampleStrategy::Uniform,
             },
             Objective::Edp,
+            Exec::Threads(None),
         )
+        .0
         .expect("search finds a mapping");
     if let Ok(n) = naive_eval {
         assert!(
@@ -63,15 +65,16 @@ fn capacity_constraints_prune_candidates() {
         arch,
         sparseloop_core::SafSpec::dense(),
     );
-    if let Some((mapping, eval)) = model.search_default(
-        Mapper::Hybrid {
-            enumerate: 1024,
-            samples: 512,
-            seed: 3,
-            sampling: sparseloop_mapping::SampleStrategy::Uniform,
-        },
-        Objective::Edp,
-    ) {
+    let space = Mapspace::all_temporal(model.workload().einsum(), model.arch());
+    let mapper = Mapper::Hybrid {
+        enumerate: 1024,
+        samples: 512,
+        seed: 3,
+        sampling: sparseloop_mapping::SampleStrategy::Uniform,
+    };
+    if let (Some((mapping, eval)), _) =
+        model.search(&space, mapper, Objective::Edp, Exec::Threads(None))
+    {
         // whatever wins must actually fit
         assert!(eval.uarch.valid);
         let lvl = &eval.uarch.levels[1];
@@ -95,7 +98,9 @@ fn random_and_exhaustive_agree_on_small_spaces() {
             &space,
             Mapper::Exhaustive { limit: 100_000 },
             Objective::Edp,
+            Exec::Threads(None),
         )
+        .0
         .unwrap()
         .1;
     let rnd = model
@@ -106,7 +111,9 @@ fn random_and_exhaustive_agree_on_small_spaces() {
                 seed: 9,
             },
             Objective::Edp,
+            Exec::Threads(None),
         )
+        .0
         .unwrap()
         .1;
     // random sampling should get within 2x of the optimum on this space

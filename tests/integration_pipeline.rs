@@ -4,7 +4,7 @@
 use sparseloop_core::{Model, Objective, SafSpec, Workload};
 use sparseloop_designs::common::{conv_mapspace, matmul_mapping_2level};
 use sparseloop_designs::{eyeriss, fig1, scnn};
-use sparseloop_mapping::Mapper;
+use sparseloop_mapping::{Exec, Mapper, Mapspace};
 use sparseloop_workloads::{alexnet, mobilenet_v1, spmspm, vgg16};
 
 #[test]
@@ -48,7 +48,7 @@ fn conv_designs_search_valid_mappings() {
             layer.clone(),
             space,
         );
-        let outcome = session.search_batch(&[exp.job()], Some(2));
+        let outcome = session.search_batch(&[exp.job()], Exec::Threads(Some(2)), None);
         let res = outcome[0].as_ref().expect("valid mapping exists");
         res.mapping
             .validate(&layer.einsum, &exp.design.arch)
@@ -75,7 +75,7 @@ fn network_level_aggregation() {
         })
         .collect();
     let total: f64 = session
-        .search_batch(&jobs, Some(2))
+        .search_batch(&jobs, Exec::Threads(Some(2)), None)
         .iter()
         .map(|r| r.as_ref().expect("layer maps").eval.energy_pj)
         .sum();
@@ -88,7 +88,7 @@ fn depthwise_layers_supported() {
     let dw = net.layers[1].scaled_to(200_000);
     assert!(dw.name.starts_with("dw"));
     let dp = sparseloop_designs::eyeriss_v2::design(&dw.einsum);
-    let space = sparseloop_mapping::Mapspace::all_temporal(&dw.einsum, &dp.arch);
+    let space = Mapspace::all_temporal(&dw.einsum, &dp.arch);
     let (_, eval) = dp.search(&dw, &space).expect("depthwise maps");
     assert!(eval.cycles > 0.0);
 }
@@ -99,9 +99,11 @@ fn engine_objectives_are_consistent() {
     let dp = fig1::coordinate_list_design(&layer.einsum);
     let workload = Workload::new(layer.einsum.clone(), layer.densities.clone());
     let model = Model::new(workload, dp.arch.clone(), SafSpec::dense());
-    let by_lat = model.search_default(Mapper::Exhaustive { limit: 500 }, Objective::Latency);
-    let by_edp = model.search_default(Mapper::Exhaustive { limit: 500 }, Objective::Edp);
-    let (l, e) = (by_lat.unwrap().1, by_edp.unwrap().1);
+    let space = Mapspace::all_temporal(&layer.einsum, &dp.arch);
+    let mapper = Mapper::Exhaustive { limit: 500 };
+    let by_lat = model.search(&space, mapper, Objective::Latency, Exec::Threads(None));
+    let by_edp = model.search(&space, mapper, Objective::Edp, Exec::Threads(None));
+    let (l, e) = (by_lat.0.unwrap().1, by_edp.0.unwrap().1);
     assert!(l.cycles <= e.cycles + 1e-9, "latency winner is fastest");
     assert!(e.edp <= l.edp + 1e-9, "EDP winner has best EDP");
 }

@@ -5,7 +5,7 @@
 use sparseloop_core::{EvalJob, EvalSession, JobPlan, Model, Objective, Workload};
 use sparseloop_designs::scenario::{table5_name, Table5Design, Table5Net};
 use sparseloop_designs::{fig1, MappingPolicy, ScenarioRegistry};
-use sparseloop_mapping::{Mapper, Mapspace};
+use sparseloop_mapping::{Exec, Mapper, Mapspace};
 use sparseloop_workloads::{spmspm, Layer};
 
 /// A small multi-layer workload (an AlexNet-like stack of matmul layers
@@ -38,10 +38,15 @@ fn multi_layer_jobs() -> Vec<(Layer, EvalJob)> {
 #[test]
 fn search_batch_matches_per_layer_search_parallel_bit_identically() {
     let jobs: Vec<EvalJob> = multi_layer_jobs().into_iter().map(|(_, j)| j).collect();
-    // reference: standalone per-layer parallel searches
-    for threads in [2, 4] {
+    // reference: standalone per-layer sequential searches; every
+    // execution mode of the batch must reproduce them
+    for exec in [
+        Exec::Threads(Some(2)),
+        Exec::Threads(Some(4)),
+        Exec::Shards(3),
+    ] {
         let session = EvalSession::new();
-        let batch = session.search_batch(&jobs, Some(threads));
+        let batch = session.search_batch(&jobs, exec, None);
         for (job, outcome) in jobs.iter().zip(&batch) {
             let model = Model::new(job.workload.clone(), job.arch.clone(), job.safs.clone());
             let JobPlan::Search {
@@ -52,15 +57,19 @@ fn search_batch_matches_per_layer_search_parallel_bit_identically() {
             else {
                 unreachable!()
             };
-            let reference =
-                model.search_parallel_with_stats(space, *mapper, *objective, Some(threads));
+            let (reference, stats) =
+                model.search(space, *mapper, *objective, Exec::Threads(Some(1)));
             match (outcome, reference) {
-                (Ok(got), Some((mapping, eval, stats))) => {
-                    assert_eq!(got.mapping, mapping, "threads={threads}");
-                    assert_eq!(got.eval.edp, eval.edp, "threads={threads}");
-                    assert_eq!(got.eval.cycles, eval.cycles, "threads={threads}");
-                    assert_eq!(got.eval.energy_pj, eval.energy_pj, "threads={threads}");
-                    assert_eq!(got.stats, stats, "threads={threads}");
+                (Ok(got), Some((mapping, eval))) => {
+                    assert_eq!(got.mapping, mapping, "{exec:?}");
+                    assert_eq!(got.eval.edp.to_bits(), eval.edp.to_bits(), "{exec:?}");
+                    assert_eq!(got.eval.cycles.to_bits(), eval.cycles.to_bits(), "{exec:?}");
+                    assert_eq!(
+                        got.eval.energy_pj.to_bits(),
+                        eval.energy_pj.to_bits(),
+                        "{exec:?}"
+                    );
+                    assert_eq!(got.stats, stats, "{exec:?}");
                 }
                 (Err(_), None) => {}
                 other => panic!("batch/per-layer disagree on validity: {other:?}"),
@@ -84,13 +93,13 @@ fn session_shares_format_analyses_across_layers() {
         else {
             unreachable!()
         };
-        model.search_parallel_with_stats(space, *mapper, *objective, Some(2));
+        model.search(space, *mapper, *objective, Exec::Threads(Some(2)));
         standalone_misses += model.format_cache_stats().misses;
     }
     // session: layers 0 and 3 are statistically identical, and every
     // layer shares its dense-tensor statistics — strictly fewer analyses
     let session = EvalSession::new();
-    session.search_batch(&jobs, Some(2));
+    session.search_batch(&jobs, Exec::Threads(Some(2)), None);
     let stats = session.stats();
     assert!(
         stats.format.misses < standalone_misses,

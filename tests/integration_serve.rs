@@ -1,12 +1,12 @@
 //! Serving-layer integration: results that flow through the
 //! queue-driven service — sharded search, shared long-lived session,
-//! concurrent workers — must be bit-identical to direct
-//! `search_parallel`, and the session recycling policy must actually
+//! concurrent workers — must be bit-identical to a direct
+//! `Model::search`, and the session recycling policy must actually
 //! bound the intern maps.
 
 use sparseloop_core::{EvalJob, EvalSession, JobPlan, Model, Objective, Workload};
 use sparseloop_designs::{MappingPolicy, ScenarioRegistry};
-use sparseloop_mapping::{Mapper, Mapspace};
+use sparseloop_mapping::{Exec, Mapper, Mapspace};
 use sparseloop_serve::{EvalService, ServeConfig, ServeRequest, Ticket};
 use sparseloop_workloads::spmspm;
 
@@ -54,22 +54,31 @@ fn search_sharded_matches_search_parallel_for_scenario_experiments() {
             };
             let job = exp.job();
             let model = Model::new(job.workload, job.arch, job.safs);
-            let reference = model.search_parallel_with_stats(space, *mapper, *objective, Some(2));
-            for shards in [1, 2, 3, 7] {
-                let (got, stats) = model.search_sharded_counted(space, *mapper, *objective, shards);
+            let (reference, ref_stats) =
+                model.search(space, *mapper, *objective, Exec::Threads(Some(1)));
+            for exec in [
+                Exec::Threads(Some(2)),
+                Exec::Shards(1),
+                Exec::Shards(2),
+                Exec::Shards(3),
+                Exec::Shards(7),
+            ] {
+                let (got, stats) = model.search(space, *mapper, *objective, exec);
+                let tag = format!("{name}/{} {exec:?}", exp.label);
                 match (&got, &reference) {
-                    (Some((mapping, eval)), Some((ref_mapping, ref_eval, ref_stats))) => {
-                        assert_eq!(mapping, ref_mapping, "{name}/{} shards={shards}", exp.label);
-                        assert_eq!(eval.edp, ref_eval.edp, "{name}/{}", exp.label);
-                        assert_eq!(eval.cycles, ref_eval.cycles, "{name}/{}", exp.label);
-                        assert_eq!(eval.energy_pj, ref_eval.energy_pj, "{name}/{}", exp.label);
-                        assert_eq!(&stats, ref_stats, "{name}/{} shards={shards}", exp.label);
+                    (Some((mapping, eval)), Some((ref_mapping, ref_eval))) => {
+                        assert_eq!(mapping, ref_mapping, "{tag}");
+                        assert_eq!(eval.edp.to_bits(), ref_eval.edp.to_bits(), "{tag}");
+                        assert_eq!(eval.cycles.to_bits(), ref_eval.cycles.to_bits(), "{tag}");
+                        assert_eq!(
+                            eval.energy_pj.to_bits(),
+                            ref_eval.energy_pj.to_bits(),
+                            "{tag}"
+                        );
+                        assert_eq!(stats, ref_stats, "{tag}");
                     }
                     (None, None) => {}
-                    other => panic!(
-                        "sharded/parallel disagree on {name}/{}: {other:?}",
-                        exp.label
-                    ),
+                    other => panic!("{tag}: modes disagree on validity: {other:?}"),
                 }
             }
         }
@@ -123,7 +132,7 @@ fn recycling_bounds_intern_slots_across_3x_budget_distinct_workloads() {
     let per_job_slots = {
         let session = EvalSession::new();
         session
-            .search_batch(&[search_job(8, 0.314, 200)], None)
+            .search_batch(&[search_job(8, 0.314, 200)], Exec::Threads(None), None)
             .pop()
             .unwrap()
             .unwrap();
