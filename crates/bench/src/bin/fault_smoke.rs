@@ -231,7 +231,7 @@ impl StatsTotals {
     }
 
     /// Every fleet counter in the shared hub must equal the sum of the
-    /// per-case `HostStats` — each case published its deltas into the
+    /// per-case `HostStats` — each case's host attached its cells to the
     /// same registry, so any drift means double- or under-counting.
     fn reconcile(&self, snap: &sparseloop_obs::MetricsSnapshot) -> Vec<String> {
         type Check<'a> = (&'a str, &'a [(&'a str, &'a str)], u64);
@@ -410,9 +410,9 @@ fn main() {
         })
         .collect();
 
-    // one hub shared by every case: each host publishes its deltas into
-    // the same registry, and the final snapshot must reconcile with the
-    // summed per-case `HostStats`
+    // one hub shared by every case: each host attaches its counter cells
+    // to the same registry, and the final snapshot must reconcile with
+    // the summed per-case `HostStats`
     let hub = sparseloop_obs::ObsHub::new();
     let mut totals = StatsTotals::default();
     let mut failures: Vec<String> = Vec::new();

@@ -6,13 +6,13 @@
 //!   forced rejections (1-slot queue) and an expired-deadline cancel;
 //!   every admitted request must land in exactly one outcome bucket
 //!   (`submitted == completed + panicked + canceled` once drained), the
-//!   counters must equal [`ServiceStats`], and the rendered text must
-//!   round-trip through the snapshot parser.
+//!   counters must equal [`ServiceStats`](sparseloop_serve::ServiceStats),
+//!   and the rendered text must round-trip through the snapshot parser.
 //! * **B (fleet)**: an observed [`ShardHost`] over in-process
 //!   [`ThreadSpawner`] workers — including one seeded
 //!   [`FaultPlan`] schedule — must produce winners bit-identical to the
 //!   in-process reference while every `sparseloop_fleet_*` counter
-//!   reconciles with [`HostStats`].
+//!   reconciles with [`HostStats`](sparseloop_serve::HostStats).
 //! * **C (overhead)**: instrumentation must cost at most
 //!   `SPARSELOOP_METRICS_OVERHEAD_MAX_PCT` (default 5%) throughput
 //!   versus the uninstrumented service on the same batch.
@@ -193,10 +193,10 @@ fn fleet_phase(failures: &mut Vec<String>) -> MetricsSnapshot {
         None,
     ));
     let hub = ObsHub::new();
-    // a fault-free run plus one seeded schedule, both publishing into
-    // the same hub; expected counter values are the *sum* of each
-    // host's own stats, so drift in either host's delta-publishing in
-    // either direction fails the run
+    // a fault-free run plus one seeded schedule, both attached to the
+    // same hub; expected counter values are the *sum* of each host's
+    // own stats, so a series that drops or double-counts either host's
+    // cells fails the run
     let mut expect_restarts = 0u64;
     let mut expect_deaths_eof = 0u64;
     let mut expect_deaths_hb = 0u64;
@@ -367,7 +367,7 @@ fn main() {
     let fleet_snap = fleet_phase(&mut failures);
 
     println!("== metrics smoke: phase C (instrumentation overhead) ==");
-    let overhead = measure_metrics_overhead(24, 3);
+    let overhead = measure_metrics_overhead(400, 15);
     let limit = overhead_limit_pct();
     header(&[
         "requests",

@@ -4,7 +4,8 @@
 //! TCP. CI gates on:
 //!
 //! * `GET /metrics` parses with [`MetricsSnapshot::parse_text`] and the
-//!   scraped counters reconcile with [`ServiceStats`] and the
+//!   scraped counters reconcile with
+//!   [`ServiceStats`](sparseloop_serve::ServiceStats) and the
 //!   in-process snapshot — the wire adds or loses nothing,
 //! * the burst forces at least one displacement shed and the flight
 //!   recorder serves it at `/traces` (and the span tree at

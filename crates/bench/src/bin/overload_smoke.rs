@@ -13,7 +13,8 @@
 //! * the breaker opens after consecutive spawn failures (degrading to
 //!   in-process execution, still bit-identical), probes after the
 //!   cooldown, and closes once the fleet heals,
-//! * the shared hub's counters reconcile with [`ServiceStats`] and
+//! * the shared hub's counters reconcile with
+//!   [`ServiceStats`](sparseloop_serve::ServiceStats) and
 //!   [`HostStats`](sparseloop_serve::HostStats) — one record of events,
 //!   two books, zero drift.
 

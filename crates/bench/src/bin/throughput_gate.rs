@@ -261,7 +261,7 @@ fn main() {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(5.0);
-    let overhead = sparseloop_bench::measure_metrics_overhead(24, 3);
+    let overhead = sparseloop_bench::measure_metrics_overhead(400, 15);
     let pct = overhead.overhead_pct();
     let verdict = if pct <= overhead_limit {
         "ok"

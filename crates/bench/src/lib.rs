@@ -336,30 +336,42 @@ pub fn write_metrics_snapshot(path: &std::path::Path, snap: &sparseloop_obs::Met
 }
 
 /// A/B measurement of the serving layer's instrumentation cost: the
-/// same request batch through an uninstrumented [`EvalService`] and an
-/// observed one (fresh [`ObsHub`](sparseloop_obs::ObsHub) per rep).
+/// same request batch through an uninstrumented
+/// [`EvalService`](sparseloop_serve::EvalService) and an
+/// observed one (fresh [`ObsHub`](sparseloop_obs::ObsHub) per sample).
 pub struct MetricsOverhead {
-    /// Requests served per measurement.
+    /// Requests served per sample.
     pub requests: usize,
-    /// Uninstrumented throughput (requests/sec, best of reps).
+    /// Uninstrumented throughput (requests/sec, median sample).
     pub baseline_rps: f64,
-    /// Instrumented throughput (requests/sec, best of reps).
+    /// Instrumented throughput (requests/sec, median sample).
     pub observed_rps: f64,
+    /// Median over the interleaved pairs of observed / baseline wall
+    /// time.
+    pub paired_ratio: f64,
 }
 
 impl MetricsOverhead {
-    /// Instrumentation overhead in percent (negative when the observed
-    /// run happened to be faster — noise on a near-zero cost).
+    /// Instrumentation overhead in percent, from the median paired
+    /// ratio (negative when the observed side happened to be faster —
+    /// noise on a near-zero cost).
     pub fn overhead_pct(&self) -> f64 {
-        (self.baseline_rps / self.observed_rps.max(1e-12) - 1.0) * 100.0
+        (self.paired_ratio - 1.0) * 100.0
     }
 }
 
 /// Measures [`MetricsOverhead`] by serving `requests` small search jobs
-/// through both service variants, best wall time of `reps` runs each.
-/// The jobs repeat one workload, so session caches stay hot and the
-/// serve-layer cost (queue, counters, metrics) dominates — the
-/// *conservative* direction for an overhead gate.
+/// through both service variants, one sample of each per rep. The jobs
+/// repeat one workload, so session caches stay hot and the serve-layer
+/// cost (queue, counters, metrics) dominates — the *conservative*
+/// direction for an overhead gate.
+///
+/// The two samples of a rep run back to back, and the side that goes
+/// first alternates: drift on the machine then hits both sides of a
+/// pair alike, the per-pair ratio cancels it, and the median over
+/// pairs ignores a pair a noise burst landed on. Size `requests` so
+/// one sample takes at least ~50 ms; shorter samples make the verdict
+/// swing with scheduler noise.
 pub fn measure_metrics_overhead(requests: usize, reps: usize) -> MetricsOverhead {
     use sparseloop_core::{EvalJob, JobPlan, Objective};
     use sparseloop_serve::{EvalService, ServeConfig, ServeRequest};
@@ -382,38 +394,50 @@ pub fn measure_metrics_overhead(requests: usize, reps: usize) -> MetricsOverhead
     let config = ServeConfig::default()
         .with_workers(2)
         .with_queue_capacity(64);
-    let run = |observed: bool| -> f64 {
-        let mut best = f64::MAX;
-        for _ in 0..reps.max(1) {
-            let service = if observed {
-                EvalService::start_observed(config, sparseloop_obs::ObsHub::new())
-            } else {
-                EvalService::start(config)
-            };
-            let (_, secs) = timed(|| {
-                let tickets: Vec<_> = (0..requests)
-                    .map(|_| {
-                        service
-                            .submit_blocking(ServeRequest::Job(Box::new(job())))
-                            .expect("service accepting")
-                    })
-                    .collect();
-                for t in tickets {
-                    t.wait()
-                        .expect("request resolves")
-                        .into_job()
-                        .expect("job ok");
-                }
-            });
-            service.shutdown();
-            best = best.min(secs);
-        }
-        requests as f64 / best.max(1e-12)
+    let sample = |observed: bool| -> f64 {
+        let service = if observed {
+            EvalService::start_observed(config, sparseloop_obs::ObsHub::new())
+        } else {
+            EvalService::start(config)
+        };
+        let (_, secs) = timed(|| {
+            let tickets: Vec<_> = (0..requests)
+                .map(|_| {
+                    service
+                        .submit_blocking(ServeRequest::Job(Box::new(job())))
+                        .expect("service accepting")
+                })
+                .collect();
+            for t in tickets {
+                t.wait()
+                    .expect("request resolves")
+                    .into_job()
+                    .expect("job ok");
+            }
+        });
+        service.shutdown();
+        secs
+    };
+    // wall seconds per rep, indexed by `observed`
+    let pairs: Vec<[f64; 2]> = (0..reps.max(1))
+        .map(|rep| {
+            let observed_first = rep % 2 == 1;
+            let mut pair = [0.0; 2];
+            for observed in [observed_first, !observed_first] {
+                pair[usize::from(observed)] = sample(observed).max(1e-12);
+            }
+            pair
+        })
+        .collect();
+    let median = |mut xs: Vec<f64>| {
+        xs.sort_by(f64::total_cmp);
+        xs[xs.len() / 2]
     };
     MetricsOverhead {
         requests,
-        baseline_rps: run(false),
-        observed_rps: run(true),
+        baseline_rps: requests as f64 / median(pairs.iter().map(|p| p[0]).collect()),
+        observed_rps: requests as f64 / median(pairs.iter().map(|p| p[1]).collect()),
+        paired_ratio: median(pairs.iter().map(|p| p[1] / p[0]).collect()),
     }
 }
 

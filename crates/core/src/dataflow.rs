@@ -91,7 +91,7 @@ impl DenseTraffic {
 /// flattened-loop buffer and the per-level tile-bound rows alive across
 /// candidates so the hot path allocates nothing, and — because
 /// consecutive enumerated candidates share outer-loop prefixes — lets
-/// [`analyze_into`] recompute only the storage boundaries below the
+/// `analyze_into` recompute only the storage boundaries below the
 /// first changed loop.
 #[derive(Debug, Default)]
 pub struct DenseScratch {
@@ -124,7 +124,7 @@ impl DenseScratch {
         DenseScratch::default()
     }
 
-    /// The traffic of the most recent [`analyze_into`] call.
+    /// The traffic of the most recent `analyze_into` call.
     pub fn traffic(&self) -> &DenseTraffic {
         &self.traffic
     }

@@ -583,7 +583,7 @@ impl Model {
 ///
 /// The stateless `precheck` / `evaluate` pair runs the full pipeline per
 /// call; the [`worker`](CandidateEvaluator::worker) override hands each
-/// search worker a [`ModelWorker`] with a pooled [`EvalScratch`] arena —
+/// search worker a `ModelWorker` with a pooled [`EvalScratch`] arena —
 /// allocation-free, prefix-incremental, and bit-identical by contract
 /// (property-tested in `tests/prop_model.rs`).
 #[derive(Debug, Clone, Copy)]

@@ -30,7 +30,7 @@ use std::time::Instant;
 pub use crate::common::DEFAULT_MAPPER;
 
 /// How an [`Experiment`] obtains its mapping — the core layer's
-/// [`JobPlan`] under its registry-facing name (one enum, no conversion
+/// [`JobPlan`](sparseloop_core::JobPlan) under its registry-facing name (one enum, no conversion
 /// layer to keep in sync).
 pub use sparseloop_core::JobPlan as MappingPolicy;
 

@@ -5,8 +5,13 @@
 //! - [`MetricsRegistry`]: named counters, gauges, and fixed-bucket histograms.
 //!   Registration interns names/labels into `&'static str` behind a mutex;
 //!   the returned handles update via relaxed atomics, so the hot path is
-//!   lock-free. [`MetricsRegistry::snapshot`] freezes everything into a
-//!   [`MetricsSnapshot`] that renders Prometheus-style text exposition
+//!   lock-free. A component that keeps its own counts owns them as
+//!   [`Counter`] cells and attaches them
+//!   ([`MetricsRegistry::attach_counter`]); a counter series renders the
+//!   sum of its cells, so each count has one store however many
+//!   components feed the series. [`MetricsRegistry::snapshot`] freezes
+//!   everything into a [`MetricsSnapshot`] that renders Prometheus-style
+//!   text exposition
 //!   ([`MetricsSnapshot::render_text`]) and parses it back
 //!   ([`MetricsSnapshot::parse_text`]) so smoke tests can assert invariants
 //!   against the exact scraped bytes.

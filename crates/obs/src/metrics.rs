@@ -41,11 +41,16 @@ pub const LATENCY_BUCKETS_NANOS: &[u64] = &[
     10_000_000_000,
 ];
 
-/// Monotonically increasing event count.
-#[derive(Clone, Debug)]
+/// Monotonically increasing event count. Clones share one cell.
+#[derive(Clone, Debug, Default)]
 pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
+    /// A cell at zero, rendered by no registry until one attaches it.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
     pub fn inc(&self) {
         self.add(1);
     }
@@ -119,7 +124,8 @@ type LabelSet = Vec<(&'static str, &'static str)>;
 
 #[derive(Debug)]
 enum Slot {
-    Counter(Arc<AtomicU64>),
+    /// Rendered as the sum of its cells; the first is the shared one.
+    Counter(Vec<Counter>),
     Gauge(Arc<AtomicI64>),
     Histogram(Arc<HistogramCore>),
 }
@@ -165,17 +171,36 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    /// Register (or fetch) a counter series. Panics if the series already
-    /// exists with a different type — that is a programming error.
+    /// Register (or fetch) a counter series and return its shared cell
+    /// (whose `get` excludes attached cells). Panics if the series
+    /// already exists with a different type — a programming error.
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
+        self.with_counter_series(name, labels, |cells| cells[0].clone())
+    }
+
+    /// Adds a caller-owned cell to a counter series; snapshots render
+    /// the sum of the series' cells. The registry keeps the cell, so the
+    /// series stays monotonic after its owner drops — and grows a cell
+    /// per attach, so components attach once at construction, never per
+    /// request. Panics on a type mismatch like [`counter`](Self::counter).
+    pub fn attach_counter(&self, name: &str, labels: &[(&str, &str)], cell: &Counter) {
+        self.with_counter_series(name, labels, |cells| cells.push(cell.clone()));
+    }
+
+    fn with_counter_series<R>(
+        &self,
+        name: &str,
+        labels: &[(&str, &str)],
+        f: impl FnOnce(&mut Vec<Counter>) -> R,
+    ) -> R {
         let mut inner = self.inner.lock().expect("metrics registry poisoned");
         let key = inner.key(name, labels);
         let slot = inner
             .series
             .entry(key)
-            .or_insert_with(|| Slot::Counter(Arc::new(AtomicU64::new(0))));
+            .or_insert_with(|| Slot::Counter(vec![Counter::new()]));
         match slot {
-            Slot::Counter(cell) => Counter(Arc::clone(cell)),
+            Slot::Counter(cells) => f(cells),
             _ => panic!("metric `{name}` already registered with a different type"),
         }
     }
@@ -244,7 +269,9 @@ impl MetricsRegistry {
                     .map(|&(k, v)| (k.to_owned(), v.to_owned()))
                     .collect();
                 let value = match slot {
-                    Slot::Counter(cell) => SampleValue::Counter(cell.load(Ordering::Relaxed)),
+                    Slot::Counter(cells) => {
+                        SampleValue::Counter(cells.iter().map(Counter::get).sum())
+                    }
                     Slot::Gauge(cell) => SampleValue::Gauge(cell.load(Ordering::Relaxed)),
                     Slot::Histogram(core) => {
                         let buckets = core
@@ -616,6 +643,58 @@ mod tests {
         let reg = MetricsRegistry::new();
         reg.counter("m", &[]);
         reg.gauge("m", &[]);
+    }
+
+    #[test]
+    fn attached_series_renders_the_sum_of_its_cells() {
+        let reg = MetricsRegistry::new();
+        let (a, b) = (Counter::new(), Counter::new());
+        reg.attach_counter("checkouts_total", &[("pool", "x")], &a);
+        reg.attach_counter("checkouts_total", &[("pool", "x")], &b);
+        a.add(3);
+        b.add(2);
+        // the shared cell is one more contributor, counted on its own
+        let shared = reg.counter("checkouts_total", &[("pool", "x")]);
+        shared.inc();
+        assert_eq!((a.get(), b.get(), shared.get()), (3, 2, 1));
+        let snap = reg.snapshot();
+        assert_eq!(snap.value("checkouts_total", &[("pool", "x")]), Some(6));
+        assert_eq!(snap.samples.len(), 1, "one series, however many cells");
+    }
+
+    #[test]
+    fn dropped_owner_count_persists() {
+        let reg = MetricsRegistry::new();
+        {
+            let owned = Counter::new();
+            reg.attach_counter("spawns_total", &[], &owned);
+            owned.add(4);
+        }
+        let survivor = Counter::new();
+        reg.attach_counter("spawns_total", &[], &survivor);
+        survivor.inc();
+        assert_eq!(reg.snapshot().value("spawns_total", &[]), Some(5));
+    }
+
+    #[test]
+    fn attached_sum_survives_render_parse() {
+        let reg = MetricsRegistry::new();
+        let cells = [Counter::new(), Counter::new(), Counter::new()];
+        for (i, cell) in cells.iter().enumerate() {
+            reg.attach_counter("frames_total", &[("cause", "eof")], cell);
+            cell.add(i as u64 + 1);
+        }
+        let parsed = MetricsSnapshot::parse_text(&reg.snapshot().render_text()).expect("parse");
+        assert_eq!(parsed.get("frames_total{cause=\"eof\"}"), Some(6.0));
+        assert_eq!(parsed.len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "different type")]
+    fn attaching_onto_a_gauge_panics() {
+        let reg = MetricsRegistry::new();
+        reg.gauge("idle_hosts", &[]);
+        reg.attach_counter("idle_hosts", &[], &Counter::new());
     }
 
     #[test]

@@ -21,11 +21,12 @@ pub enum RequestOutcome {
     /// Completed successfully within threshold expectations.
     Ok,
     /// Resolved with a structured error (invalid spec, unknown
-    /// scenario, fleet task failure surfaced to the caller).
+    /// scenario).
     Error,
     /// Shed by admission control (watermark or displacement).
     Shed,
-    /// The evaluating worker panicked (contained).
+    /// The evaluating worker panicked (contained), or a fleet worker
+    /// reported the task as deterministically failed.
     Panicked,
     /// Canceled by the caller or an expired service deadline.
     Canceled,

@@ -107,6 +107,41 @@
 //! [`EvalSession`]: sparseloop_core::EvalSession
 //! [`Mapspace::shards`]: sparseloop_mapping::Mapspace::shards
 
+/// Declares the counter cells behind a stats struct: one [`Counter`]
+/// per stats field — the only store that counter has — with `attach`,
+/// which hangs each cell on its registry series, and `sum`, which reads
+/// a slice of cell sets back as the stats struct, field by field.
+///
+/// [`Counter`]: sparseloop_obs::Counter
+macro_rules! counter_cells {
+    (
+        $(#[$meta:meta])*
+        $cells:ident => $stats:ident {
+            $($field:ident: $series:literal $([$key:literal = $value:literal])?,)*
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Clone, Debug, Default)]
+        pub(crate) struct $cells {
+            $($field: sparseloop_obs::Counter,)*
+        }
+
+        impl $cells {
+            /// Attaches every cell to its series in `reg`.
+            fn attach(&self, reg: &sparseloop_obs::MetricsRegistry) {
+                $(reg.attach_counter($series, &[$(($key, $value))?], &self.$field);)*
+            }
+
+            /// The field-wise sum over `cells`.
+            pub(crate) fn sum(cells: &[$cells]) -> $stats {
+                $stats {
+                    $($field: cells.iter().map(|c| c.$field.get()).sum(),)*
+                }
+            }
+        }
+    };
+}
+
 pub mod breaker;
 pub mod fault;
 pub mod pool;

@@ -16,16 +16,17 @@
 //! so a worker that died while idle is replaced before a request
 //! trips over it, not discovered through retry backoff.
 //!
-//! Every host shares the pool's [`ObsHub`] (when observed); host
-//! counters are delta-published, so fleet-wide metrics are exact sums
-//! over the pool. The pool adds its own series: checkout and
-//! health-sweep totals, workers proactively replaced, and an
-//! idle-host gauge.
+//! Every host shares the pool's [`ObsHub`] (when observed) and
+//! attaches its counter cells to it, so each fleet-wide series renders
+//! the sum over every host on the hub. The pool does the same with its
+//! own cells: checkout and health-sweep totals and workers proactively
+//! replaced. Its idle-host gauge moves by ±1 at checkout and checkin,
+//! so pools sharing a hub add up there too.
 
 use crate::proc::{ProcessSpawner, ThreadSpawner, WorkerEvent, WorkerHandle, WorkerSpawner};
 use crate::service::ScenarioReply;
-use crate::supervisor::{HostConfig, HostError, HostStats, ShardHost};
-use sparseloop_obs::{ObsHub, SpanKind, TraceContext};
+use crate::supervisor::{HealthReport, HostCells, HostConfig, HostError, HostStats, ShardHost};
+use sparseloop_obs::{Gauge, ObsHub, SpanKind, TraceContext};
 use std::path::Path;
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -93,7 +94,8 @@ impl FleetPoolConfig {
     }
 }
 
-/// Point-in-time pool counters (all monotonic).
+/// Point-in-time pool counters (all monotonic), read from the pool's
+/// counter cells.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Host checkouts served (== fleet requests routed via the pool).
@@ -108,6 +110,28 @@ pub struct PoolStats {
     pub workers_replaced: u64,
 }
 
+counter_cells! {
+    /// The cells behind [`PoolStats`], attached to the `sparseloop_pool_*`
+    /// series.
+    PoolCells => PoolStats {
+        checkouts: "sparseloop_pool_checkouts_total",
+        health_sweeps: "sparseloop_pool_health_sweeps_total",
+        pings_sent: "sparseloop_pool_pings_total",
+        pongs_received: "sparseloop_pool_pongs_total",
+        workers_replaced: "sparseloop_pool_workers_replaced_total",
+    }
+}
+
+impl PoolCells {
+    /// Books one health sweep.
+    fn sweep(&self, report: HealthReport) {
+        self.health_sweeps.inc();
+        self.pings_sent.add(report.pings_sent);
+        self.pongs_received.add(report.pongs_received);
+        self.workers_replaced.add(report.workers_replaced);
+    }
+}
+
 struct PooledHost {
     host: ShardHost<BoxedSpawner>,
     last_health: Instant,
@@ -117,7 +141,11 @@ struct PoolShared {
     /// Fixed slots; `None` while that host is checked out.
     hosts: Mutex<Vec<Option<PooledHost>>>,
     available: Condvar,
-    stats: Mutex<PoolStats>,
+    cells: PoolCells,
+    /// Every host's cells, by slot — readable while a host is out.
+    host_cells: Vec<HostCells>,
+    /// `sparseloop_pool_idle_hosts`, when observed.
+    idle: Option<Gauge>,
     config: FleetPoolConfig,
     hub: Option<ObsHub>,
 }
@@ -183,17 +211,30 @@ impl FleetPool {
                 last_health: Instant::now(),
             }));
         }
-        let pool = FleetPool {
+        let cells = PoolCells::default();
+        // observed: attach the cells, and count every host idle
+        let idle = hub.as_ref().map(|hub| {
+            cells.attach(hub.registry());
+            let idle = hub.registry().gauge("sparseloop_pool_idle_hosts", &[]);
+            idle.add(count as i64);
+            idle
+        });
+        let host_cells = hosts
+            .iter()
+            .flatten()
+            .map(|p| p.host.cells().clone())
+            .collect();
+        FleetPool {
             inner: Arc::new(PoolShared {
                 hosts: Mutex::new(hosts),
                 available: Condvar::new(),
-                stats: Mutex::new(PoolStats::default()),
+                cells,
+                host_cells,
+                idle,
                 config,
                 hub,
             }),
-        };
-        pool.publish_metrics();
-        pool
+        }
     }
 
     /// Runs one spec through a pooled fleet: checkout (blocking until a
@@ -225,11 +266,7 @@ impl FleetPool {
         if pooled.last_health.elapsed() >= self.inner.config.health_interval {
             let report = pooled.host.health_check(self.inner.config.health_timeout);
             pooled.last_health = Instant::now();
-            let mut stats = self.inner.stats.lock().unwrap_or_else(|e| e.into_inner());
-            stats.health_sweeps += 1;
-            stats.pings_sent += report.pings_sent;
-            stats.pongs_received += report.pongs_received;
-            stats.workers_replaced += report.workers_replaced;
+            self.inner.cells.sweep(report);
         }
         let result = pooled.host.run_spec_traced(text, ctx);
         self.checkin(index, pooled);
@@ -239,61 +276,29 @@ impl FleetPool {
     /// Forces a health sweep on every currently idle host (the pool
     /// normally sweeps lazily at checkout; this is for shutdown checks
     /// and tests).
-    pub fn health_check_all(&self) -> crate::supervisor::HealthReport {
-        let mut total = crate::supervisor::HealthReport::default();
+    pub fn health_check_all(&self) -> HealthReport {
+        let mut total = HealthReport::default();
         let mut hosts = self.inner.hosts.lock().unwrap_or_else(|e| e.into_inner());
-        let mut sweeps = 0u64;
-        for slot in hosts.iter_mut() {
-            if let Some(pooled) = slot.as_mut() {
-                let report = pooled.host.health_check(self.inner.config.health_timeout);
-                pooled.last_health = Instant::now();
-                sweeps += 1;
-                total.pings_sent += report.pings_sent;
-                total.pongs_received += report.pongs_received;
-                total.workers_replaced += report.workers_replaced;
-            }
+        for pooled in hosts.iter_mut().flatten() {
+            let report = pooled.host.health_check(self.inner.config.health_timeout);
+            pooled.last_health = Instant::now();
+            self.inner.cells.sweep(report);
+            total.pings_sent += report.pings_sent;
+            total.pongs_received += report.pongs_received;
+            total.workers_replaced += report.workers_replaced;
         }
-        drop(hosts);
-        let mut stats = self.inner.stats.lock().unwrap_or_else(|e| e.into_inner());
-        stats.health_sweeps += sweeps;
-        stats.pings_sent += total.pings_sent;
-        stats.pongs_received += total.pongs_received;
-        stats.workers_replaced += total.workers_replaced;
-        drop(stats);
-        self.publish_metrics();
         total
     }
 
     /// Pool counters.
     pub fn stats(&self) -> PoolStats {
-        *self.inner.stats.lock().unwrap_or_else(|e| e.into_inner())
+        PoolCells::sum(std::slice::from_ref(&self.inner.cells))
     }
 
-    /// Sum of [`HostStats`] over hosts currently in the pool (a host
-    /// mid-request is excluded until checkin — call with the pool
-    /// quiescent for exact totals).
+    /// Sum of [`HostStats`] over every host in the pool, including
+    /// hosts checked out mid-request (their counts so far).
     pub fn host_stats(&self) -> HostStats {
-        let hosts = self.inner.hosts.lock().unwrap_or_else(|e| e.into_inner());
-        let mut total = HostStats::default();
-        for pooled in hosts.iter().flatten() {
-            let s = pooled.host.stats();
-            total.requests += s.requests;
-            total.spawns += s.spawns;
-            total.restarts += s.restarts;
-            total.redispatches += s.redispatches;
-            total.deaths_eof += s.deaths_eof;
-            total.deaths_heartbeat_timeout += s.deaths_heartbeat_timeout;
-            total.kills_injected += s.kills_injected;
-            total.degraded += s.degraded;
-            total.frames_received += s.frames_received;
-            total.backoff_nanos_total += s.backoff_nanos_total;
-            total.deadline_exceeded += s.deadline_exceeded;
-            total.breaker_trips += s.breaker_trips;
-            total.breaker_probes += s.breaker_probes;
-            total.hedges_dispatched += s.hedges_dispatched;
-            total.hedge_wins += s.hedge_wins;
-        }
-        total
+        HostCells::sum(&self.inner.host_cells)
     }
 
     /// The hub this pool publishes into, if observed.
@@ -318,10 +323,10 @@ impl FleetPool {
             if let Some(index) = hosts.iter().position(Option::is_some) {
                 let pooled = hosts[index].take().expect("position() found Some");
                 drop(hosts);
-                let mut stats = self.inner.stats.lock().unwrap_or_else(|e| e.into_inner());
-                stats.checkouts += 1;
-                drop(stats);
-                self.publish_metrics();
+                self.inner.cells.checkouts.inc();
+                if let Some(idle) = &self.inner.idle {
+                    idle.add(-1);
+                }
                 return (index, pooled);
             }
             hosts = self
@@ -336,37 +341,10 @@ impl FleetPool {
         let mut hosts = self.inner.hosts.lock().unwrap_or_else(|e| e.into_inner());
         hosts[index] = Some(pooled);
         drop(hosts);
+        if let Some(idle) = &self.inner.idle {
+            idle.add(1);
+        }
         self.inner.available.notify_one();
-        self.publish_metrics();
-    }
-
-    /// Publishes pool counters and the idle-host gauge. Counters are
-    /// set to the stats snapshot via deltas like the hosts do, so the
-    /// registry equals [`PoolStats`] after every transition.
-    fn publish_metrics(&self) {
-        let Some(hub) = &self.inner.hub else { return };
-        let stats = self.stats();
-        let idle = {
-            let hosts = self.inner.hosts.lock().unwrap_or_else(|e| e.into_inner());
-            hosts.iter().filter(|h| h.is_some()).count() as u64
-        };
-        let reg = hub.registry();
-        let set_counter = |name: &str, value: u64| {
-            let c = reg.counter(name, &[]);
-            let current = c.get();
-            if value > current {
-                c.add(value - current);
-            }
-        };
-        set_counter("sparseloop_pool_checkouts_total", stats.checkouts);
-        set_counter("sparseloop_pool_health_sweeps_total", stats.health_sweeps);
-        set_counter("sparseloop_pool_pings_total", stats.pings_sent);
-        set_counter("sparseloop_pool_pongs_total", stats.pongs_received);
-        set_counter(
-            "sparseloop_pool_workers_replaced_total",
-            stats.workers_replaced,
-        );
-        reg.gauge("sparseloop_pool_idle_hosts", &[]).set_u64(idle);
     }
 }
 
@@ -494,6 +472,76 @@ mod tests {
         assert_eq!(report.workers_replaced, 1, "{report:?}");
         // the replaced fleet serves correctly
         pool.run_spec(&demo_spec()).unwrap();
+        assert_eq!(pool.host_stats().requests, 1);
+    }
+
+    #[test]
+    fn pools_sharing_a_hub_sum_their_series() {
+        let text = demo_spec();
+        let hub = ObsHub::new();
+        let pools = [
+            FleetPool::threads_observed(pool_config(1, 1), hub.clone()),
+            FleetPool::threads_observed(pool_config(1, 1), hub.clone()),
+        ];
+        for (pool, requests) in pools.iter().zip([3, 2]) {
+            for _ in 0..requests {
+                pool.run_spec(&text).unwrap();
+            }
+        }
+        let snap = hub.snapshot();
+        assert_eq!(snap.value("sparseloop_pool_checkouts_total", &[]), Some(5));
+        assert_eq!(snap.value("sparseloop_pool_idle_hosts", &[]), Some(2));
+        assert_eq!(snap.value("sparseloop_fleet_requests_total", &[]), Some(5));
+    }
+
+    #[test]
+    fn host_stats_count_a_checked_out_host() {
+        use std::sync::Barrier;
+        // a worker whose task send parks on a barrier twice: once to say
+        // the request is in flight, once to wait for release
+        struct Parking(Arc<Barrier>);
+        struct Parked(Arc<Barrier>, Box<dyn WorkerHandle>);
+        impl WorkerHandle for Parked {
+            fn send(&mut self, frame: &crate::protocol::Frame) -> std::io::Result<()> {
+                if matches!(frame, crate::protocol::Frame::Task { .. }) {
+                    self.0.wait();
+                    self.0.wait();
+                }
+                self.1.send(frame)
+            }
+            fn kill(&mut self) {
+                self.1.kill();
+            }
+        }
+        impl WorkerSpawner for Parking {
+            fn spawn(
+                &self,
+                slot: u32,
+                epoch: u64,
+                fault: Option<crate::fault::WorkerFault>,
+                events: mpsc::Sender<WorkerEvent>,
+            ) -> std::io::Result<Box<dyn WorkerHandle>> {
+                let inner = ThreadSpawner.spawn(slot, epoch, fault, events)?;
+                Ok(Box::new(Parked(Arc::clone(&self.0), inner)))
+            }
+        }
+        let barrier = Arc::new(Barrier::new(2));
+        let spawner_barrier = Arc::clone(&barrier);
+        let pool = FleetPool::with_spawners(
+            pool_config(1, 1),
+            move |_| Box::new(Parking(Arc::clone(&spawner_barrier))),
+            None,
+        );
+        let text = demo_spec();
+        let in_flight = std::thread::scope(|scope| {
+            let request = scope.spawn(|| pool.run_spec(&text));
+            barrier.wait();
+            let in_flight = pool.host_stats().requests;
+            barrier.wait();
+            request.join().unwrap().unwrap();
+            in_flight
+        });
+        assert_eq!(in_flight, 1, "the checked-out host's request counts");
         assert_eq!(pool.host_stats().requests, 1);
     }
 }

@@ -213,8 +213,10 @@ pub enum ServeError {
     /// preserves the spec front-end's position (file, line:column) and
     /// source excerpt as structured fields.
     InvalidSpec(SpecDiagnostic),
-    /// The worker panicked while processing the request; the shared
-    /// session was force-recycled so later requests start clean.
+    /// The request's evaluation failed hard: the worker panicked in
+    /// process (the shared session was force-recycled so later requests
+    /// start clean), or a fleet worker reported the task as
+    /// deterministically failed (nothing in process to recycle).
     Panicked(String),
     /// The request was canceled before a worker finished it: the
     /// service was torn down, the ticket was abandoned (dropped or
@@ -421,7 +423,8 @@ pub struct ServiceStats {
     pub rejected: u64,
     /// Requests processed and replied (whatever the job-level outcome).
     pub completed: u64,
-    /// Requests whose processing panicked (the session was recycled).
+    /// Requests answered [`ServeError::Panicked`]: an in-process panic
+    /// (the session was recycled) or a deterministic fleet task failure.
     pub panicked: u64,
     /// Requests canceled before completion (abandoned tickets, expired
     /// deadlines, explicit [`Ticket::cancel`]). Every admitted request
@@ -471,30 +474,44 @@ struct Work {
 #[derive(Debug, Clone, Copy, Default)]
 struct Counters {
     submitted: u64,
-    rejected: u64,
-    completed: u64,
-    panicked: u64,
-    canceled: u64,
-    shed: u64,
-    fleet_dispatched: u64,
-    fleet_fallbacks: u64,
-    recycles: u64,
+    /// Indexed like [`BUCKETS`].
+    finished: [u64; 4],
     peak_slots: u64,
+}
+
+/// The completion buckets, as `outcome` labels of
+/// `sparseloop_requests_total`; [`bucket`] maps a request's outcome
+/// to its index.
+const BUCKETS: [&str; 4] = ["completed", "panicked", "canceled", "shed"];
+
+/// The completion bucket (index into [`BUCKETS`]) an outcome lands in.
+fn bucket(outcome: RequestOutcome) -> usize {
+    match outcome {
+        RequestOutcome::Ok | RequestOutcome::Degraded | RequestOutcome::Error => 0,
+        RequestOutcome::Panicked => 1,
+        RequestOutcome::Canceled | RequestOutcome::DeadlineExceeded => 2,
+        RequestOutcome::Shed => 3,
+    }
+}
+
+/// The counters with no cross-counter invariant: one cell each, read
+/// back by [`EvalService::stats`] and attached to the hub when observed.
+#[derive(Default)]
+struct ServiceCells {
+    rejected: Counter,
+    fleet_dispatched: Counter,
+    fleet_fallbacks: Counter,
+    recycles: Counter,
 }
 
 /// Pre-registered metric handles for the service's hot path (one
 /// `Option` check + relaxed atomics per event; no registry lookups).
 struct ServeObs {
     hub: ObsHub,
+    /// The series of `submitted` and of each completion bucket, moved
+    /// in the same step as the locked [`Counters`] they mirror.
     submitted: Counter,
-    rejected: Counter,
-    completed: Counter,
-    panicked: Counter,
-    canceled: Counter,
-    shed: Counter,
-    fleet_dispatched: Counter,
-    fleet_fallback: Counter,
-    recycles: Counter,
+    finished: [Counter; 4],
     queue_wait: Histogram,
     latency: Histogram,
     /// Mapper funnel counters: generated, pruned, evaluated, invalid.
@@ -506,10 +523,21 @@ struct ServeObs {
 }
 
 impl ServeObs {
-    fn new(hub: ObsHub, config: &ServeConfig) -> Self {
+    fn new(hub: ObsHub, config: &ServeConfig, cells: &ServiceCells) -> Self {
         hub.set_protocol_version(crate::protocol::PROTOCOL_VERSION);
         let reg = hub.registry();
         let outcome = |o: &str| reg.counter("sparseloop_requests_total", &[("outcome", o)]);
+        reg.attach_counter(
+            "sparseloop_requests_total",
+            &[("outcome", "rejected")],
+            &cells.rejected,
+        );
+        let fleet = |kind: &str, cell: &Counter| {
+            reg.attach_counter("sparseloop_service_fleet_total", &[("kind", kind)], cell);
+        };
+        fleet("dispatched", &cells.fleet_dispatched);
+        fleet("fallback", &cells.fleet_fallbacks);
+        reg.attach_counter("sparseloop_session_recycles_total", &[], &cells.recycles);
         let stage = |s: &str| reg.counter("sparseloop_mapper_candidates_total", &[("stage", s)]);
         // pre-register the gauges so empty snapshots still show them
         reg.gauge("sparseloop_queue_capacity", &[])
@@ -519,15 +547,7 @@ impl ServeObs {
         ServeObs {
             queue_depth,
             submitted: outcome("submitted"),
-            rejected: outcome("rejected"),
-            completed: outcome("completed"),
-            panicked: outcome("panicked"),
-            canceled: outcome("canceled"),
-            shed: outcome("shed"),
-            fleet_dispatched: reg
-                .counter("sparseloop_service_fleet_total", &[("kind", "dispatched")]),
-            fleet_fallback: reg.counter("sparseloop_service_fleet_total", &[("kind", "fallback")]),
-            recycles: reg.counter("sparseloop_session_recycles_total", &[]),
+            finished: BUCKETS.map(outcome),
             queue_wait: reg.histogram("sparseloop_queue_wait_nanos", &[], LATENCY_BUCKETS_NANOS),
             latency: reg.histogram(
                 "sparseloop_request_latency_nanos",
@@ -584,6 +604,7 @@ struct Shared {
     /// their generation alive while new requests start clean.
     session: Mutex<Arc<EvalSession>>,
     counters: Mutex<Counters>,
+    cells: ServiceCells,
     obs: Option<ServeObs>,
     /// An optional shared worker-process fleet: `Scenario`/`Spec`
     /// requests dispatch to pooled [`ShardHost`]s (bit-identical to
@@ -655,7 +676,7 @@ impl Shared {
             .set_u64(s.format.hits);
         reg.gauge("sparseloop_session_format_cache", &[("kind", "miss")])
             .set_u64(s.format.misses);
-        self.sync_queue_depth();
+        obs.queue_depth.set_u64(self.queue.len() as u64);
         Some(obs.hub.snapshot())
     }
 
@@ -702,54 +723,68 @@ impl Shared {
         }
     }
 
-    /// Re-syncs the queue-depth gauge from the queue's own length. An
-    /// absolute set after every transition (admit, displace, pop) — the
-    /// gauge can never drift negative or double-count the way paired
-    /// inc/dec bookkeeping can.
-    fn sync_queue_depth(&self) {
-        if let Some(obs) = &self.obs {
-            obs.queue_depth.set_u64(self.queue.len() as u64);
+    /// The one terminal step of every admitted request — canceled while
+    /// queued, evaluated, panicked, or shed. `reply` is classified once
+    /// into a [`RequestOutcome`]; the completion bucket and its series,
+    /// the latency EWMA and histogram, the flight-recorder entry and the
+    /// reply sent all derive from it. `started` is the evaluation start
+    /// (wall clock, hub clock) of a request that reached a worker's
+    /// session.
+    fn finish(
+        &self,
+        work: Work,
+        reply: Result<ServeReply, ServeError>,
+        degraded: bool,
+        started: Option<(Instant, u64)>,
+    ) {
+        let outcome = match &reply {
+            Ok(_) if degraded => RequestOutcome::Degraded,
+            Ok(_) => RequestOutcome::Ok,
+            Err(ServeError::Shed { .. }) => RequestOutcome::Shed,
+            Err(ServeError::Panicked(_)) => RequestOutcome::Panicked,
+            // a tripped deadline and an explicit cancel look the same
+            // to the eval loop; the recorder distinguishes them so
+            // `/traces` can show which deadline fired
+            Err(ServeError::Canceled) if deadline_expired(&work.cancel) => {
+                RequestOutcome::DeadlineExceeded
+            }
+            Err(ServeError::Canceled) => RequestOutcome::Canceled,
+            Err(_) => RequestOutcome::Error,
+        };
+        let bucket = bucket(outcome);
+        // only completed requests feed latency: canceled and failed
+        // ones stop early, which would bias the shed retry hint
+        let latency_from = started.filter(|_| bucket == 0);
+        if let Some((wall, _)) = latency_from {
+            self.note_latency(wall.elapsed());
         }
-    }
-
-    /// Offers one finished request to the flight recorder, tagging it
-    /// with its terminal outcome. Cheap successful requests are dropped
-    /// inside [`FlightRecorder::record`]; anything interesting keeps
-    /// its complete span tree for `/traces`.
-    ///
-    /// [`FlightRecorder::record`]: sparseloop_obs::FlightRecorder::record
-    fn record_outcome(&self, request_id: u64, enqueued_nanos: u64, outcome: RequestOutcome) {
-        let Some(obs) = &self.obs else { return };
-        let now = obs.hub.now_nanos();
-        let events = obs.hub.traces().events_for(request_id);
-        let hedged = events.iter().any(|e| e.kind == SpanKind::HedgeDispatch);
-        obs.hub.recorder().record(RecordedRequest {
-            request_id,
-            outcome,
-            latency_nanos: now.saturating_sub(enqueued_nanos),
-            hedged,
-            completed_nanos: now,
-            events,
-        });
-    }
-
-    /// Books a displaced queue victim: it was admitted (already counted
-    /// `submitted`), so it must land in exactly one completion bucket —
-    /// `shed` — and its ticket resolves immediately to
-    /// [`ServeError::Shed`].
-    fn shed_victim(&self, victim: Work) {
-        self.counters().shed += 1;
-        if let Some(obs) = &self.obs {
-            obs.shed.inc();
+        {
+            let mut c = self.counters();
+            c.finished[bucket] += 1;
+            if let Some(obs) = &self.obs {
+                obs.finished[bucket].inc();
+            }
         }
-        self.record_outcome(
-            victim.request_id,
-            victim.enqueued_nanos,
-            RequestOutcome::Shed,
-        );
-        let _ = victim.responder.send(Err(ServeError::Shed {
-            retry_after_hint: self.retry_after_hint(),
-        }));
+        if let Some(obs) = &self.obs {
+            let now = obs.hub.now_nanos();
+            if let Some((_, start)) = latency_from {
+                obs.latency.observe(now.saturating_sub(start));
+            }
+            // cheap successful requests are dropped inside the
+            // recorder; anything interesting keeps its span tree
+            let events = obs.hub.traces().events_for(work.request_id);
+            let hedged = events.iter().any(|e| e.kind == SpanKind::HedgeDispatch);
+            obs.hub.recorder().record(RecordedRequest {
+                request_id: work.request_id,
+                outcome,
+                latency_nanos: now.saturating_sub(work.enqueued_nanos),
+                hedged,
+                completed_nanos: now,
+                events,
+            });
+        }
+        // the submitter may have dropped its ticket; that is fine
+        let _ = work.responder.send(reply);
     }
 
     /// Dispatches spec text to the attached fleet. `Ok(None)` means
@@ -767,19 +802,13 @@ impl Shared {
         let Some(fleet) = &self.fleet else {
             return Ok(None);
         };
-        self.counters().fleet_dispatched += 1;
-        if let Some(obs) = &self.obs {
-            obs.fleet_dispatched.inc();
-        }
+        self.cells.fleet_dispatched.inc();
         match fleet.run_spec_traced(text, Some(ctx)) {
             Ok(reply) => Ok(Some(reply)),
             Err(HostError::InvalidSpec(diag)) => Err(ServeError::InvalidSpec(diag)),
             Err(HostError::TaskFailed { message }) => Err(ServeError::Panicked(message)),
             Err(HostError::WorkerLost { .. } | HostError::DeadlineExceeded) => {
-                self.counters().fleet_fallbacks += 1;
-                if let Some(obs) = &self.obs {
-                    obs.fleet_fallback.inc();
-                }
+                self.cells.fleet_fallbacks.inc();
                 *degraded = true;
                 Ok(None)
             }
@@ -860,10 +889,7 @@ impl Shared {
         let mut current = self.session.lock().expect("session slot poisoned");
         if Arc::ptr_eq(&current, used) {
             *current = Arc::new(EvalSession::new());
-            self.counters().recycles += 1;
-            if let Some(obs) = &self.obs {
-                obs.recycles.inc();
-            }
+            self.cells.recycles.inc();
         }
     }
 }
@@ -895,16 +921,10 @@ fn deadline_expired(cancel: &CancelToken) -> bool {
 }
 
 fn worker_loop(shared: &Shared) {
-    while let Some(Work {
-        request,
-        responder,
-        cancel,
-        request_id,
-        enqueued_nanos,
-    }) = shared.queue.pop()
-    {
-        shared.sync_queue_depth();
+    while let Some(work) = shared.queue.pop() {
+        let (request_id, enqueued_nanos) = (work.request_id, work.enqueued_nanos);
         if let Some(obs) = &shared.obs {
+            obs.queue_depth.set_u64(shared.queue.len() as u64);
             let now = obs.hub.now_nanos();
             obs.queue_wait.observe(now.saturating_sub(enqueued_nanos));
             obs.hub
@@ -912,17 +932,12 @@ fn worker_loop(shared: &Shared) {
         }
         // a request already abandoned while queued is retired without
         // touching the session at all
-        if cancel.is_canceled() {
-            shared.counters().canceled += 1;
-            if let Some(obs) = &shared.obs {
-                obs.canceled.inc();
-            }
-            shared.record_outcome(request_id, enqueued_nanos, RequestOutcome::Canceled);
-            let _ = responder.send(Err(ServeError::Canceled));
+        if work.cancel.is_canceled() {
+            shared.finish(work, Err(ServeError::Canceled), false, None);
             continue;
         }
         let session = shared.current_session();
-        let eval_start = shared.obs.as_ref().map(|o| o.hub.now_nanos());
+        let eval_start = shared.obs.as_ref().map_or(0, |o| o.hub.now_nanos());
         // the session span id is allocated before evaluation so the
         // fleet round-trip (and through it every cross-process worker
         // span) can parent under it; the span itself is recorded once
@@ -935,94 +950,48 @@ fn worker_loop(shared: &Shared) {
         let wall_start = Instant::now();
         let mut degraded = false;
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let reply = shared.process(&request, &session, &cancel, ctx, &mut degraded);
+            let reply = shared.process(&work.request, &session, &work.cancel, ctx, &mut degraded);
             shared.maybe_recycle(&session);
             reply
         }));
-        match outcome {
+        let reply = match outcome {
             Ok(reply) => {
+                if let Some(obs) = &shared.obs {
+                    obs.hub.span_with_id(
+                        request_id,
+                        session_span,
+                        0,
+                        SpanKind::SessionEval,
+                        None,
+                        eval_start,
+                    );
+                    // the search work was done either way: count it
+                    obs.absorb_reply(&reply);
+                }
                 // the token tripping mid-request classifies it as
                 // canceled even when a partial reply exists — the
                 // invariant is one bucket per admitted request, and the
                 // caller's reply follows that bucket
-                let canceled = cancel.is_canceled();
-                {
-                    let mut c = shared.counters();
-                    if canceled {
-                        c.canceled += 1;
-                    } else {
-                        c.completed += 1;
-                    }
-                }
-                if !canceled {
-                    // canceled requests stop early; folding them in
-                    // would bias the shed retry hint optimistic
-                    shared.note_latency(wall_start.elapsed());
-                }
-                if let Some(obs) = &shared.obs {
-                    if canceled {
-                        obs.canceled.inc();
-                    } else {
-                        obs.completed.inc();
-                        if let Some(start) = eval_start {
-                            let now = obs.hub.now_nanos();
-                            obs.latency.observe(now.saturating_sub(start));
-                        }
-                    }
-                    if let Some(start) = eval_start {
-                        obs.hub.span_with_id(
-                            request_id,
-                            session_span,
-                            0,
-                            SpanKind::SessionEval,
-                            None,
-                            start,
-                        );
-                    }
-                    // the search work was done either way: count it
-                    obs.absorb_reply(&reply);
-                }
-                let reply = if canceled {
+                if work.cancel.is_canceled() {
                     Err(ServeError::Canceled)
                 } else {
                     reply
-                };
-                let recorded = match &reply {
-                    Ok(_) if degraded => RequestOutcome::Degraded,
-                    Ok(_) => RequestOutcome::Ok,
-                    Err(ServeError::Shed { .. }) => RequestOutcome::Shed,
-                    Err(ServeError::Panicked(_)) => RequestOutcome::Panicked,
-                    // a tripped deadline and an explicit cancel look the
-                    // same to the eval loop; the recorder distinguishes
-                    // them so `/traces` can show which deadline fired
-                    Err(ServeError::Canceled) if deadline_expired(&cancel) => {
-                        RequestOutcome::DeadlineExceeded
-                    }
-                    Err(ServeError::Canceled) => RequestOutcome::Canceled,
-                    Err(_) => RequestOutcome::Error,
-                };
-                shared.record_outcome(request_id, enqueued_nanos, recorded);
-                // the submitter may have dropped its ticket; that is fine
-                let _ = responder.send(reply);
+                }
             }
             Err(panic) => {
-                // contain the blast radius: reply with the panic message
-                // and retire the (possibly lock-poisoned) session so the
-                // next request starts from a clean generation
-                shared.counters().panicked += 1;
-                if let Some(obs) = &shared.obs {
-                    obs.panicked.inc();
-                }
-                shared.record_outcome(request_id, enqueued_nanos, RequestOutcome::Panicked);
+                // contain the blast radius: retire the (possibly
+                // lock-poisoned) session so the next request starts from
+                // a clean generation, and reply with the panic message
                 shared.swap_session(&session);
                 let msg = panic
                     .downcast_ref::<&str>()
                     .map(|s| s.to_string())
                     .or_else(|| panic.downcast_ref::<String>().cloned())
                     .unwrap_or_else(|| "opaque panic payload".to_string());
-                let _ = responder.send(Err(ServeError::Panicked(msg)));
+                Err(ServeError::Panicked(msg))
             }
-        }
+        };
+        shared.finish(work, reply, degraded, Some((wall_start, eval_start)));
     }
 }
 
@@ -1094,13 +1063,15 @@ impl EvalService {
             shards: config.shards.max(1),
             ..config
         };
+        let cells = ServiceCells::default();
         let shared = Arc::new(Shared {
             config,
             queue: BoundedQueue::new(config.queue_capacity),
             registry,
             session: Mutex::new(Arc::new(EvalSession::new())),
             counters: Mutex::new(Counters::default()),
-            obs: hub.map(|hub| ServeObs::new(hub, &config)),
+            obs: hub.map(|hub| ServeObs::new(hub, &config, &cells)),
+            cells,
             fleet,
             ewma_latency_nanos: AtomicU64::new(0),
         });
@@ -1240,17 +1211,23 @@ impl EvalService {
     /// Undoes [`make_work`](EvalService::make_work)'s pre-count after a
     /// refused push; `rejected: true` books it as backpressure.
     fn unmake_work(&self, rejected: bool) {
-        let mut c = self.shared.counters();
-        c.submitted -= 1;
+        self.shared.counters().submitted -= 1;
         if rejected {
-            c.rejected += 1;
+            self.shared.cells.rejected.inc();
         }
-        drop(c);
-        if rejected {
-            if let Some(obs) = &self.shared.obs {
-                obs.rejected.inc();
-            }
+    }
+
+    /// Confirms an admission [`make_work`](EvalService::make_work)
+    /// pre-counted: the request is queued, so its `submitted` series
+    /// moves and the depth gauge re-syncs from the queue's own length
+    /// (an absolute set — it can never drift the way paired inc/dec
+    /// bookkeeping can).
+    fn admitted(&self, ticket: Ticket) -> Ticket {
+        if let Some(obs) = &self.shared.obs {
+            obs.submitted.inc();
+            obs.queue_depth.set_u64(self.shared.queue.len() as u64);
         }
+        ticket
     }
 
     fn submit_with_token(
@@ -1277,23 +1254,19 @@ impl EvalService {
         let capacity = self.shared.queue.capacity();
         let watermark = self.shared.effective_watermark();
         match self.shared.queue.admit(work, priority, watermark) {
-            Admission::Enqueued => {
-                if let Some(obs) = &self.shared.obs {
-                    obs.submitted.inc();
-                }
-                self.shared.sync_queue_depth();
-                Ok(Ticket { receiver, cancel })
-            }
+            Admission::Enqueued => Ok(self.admitted(Ticket { receiver, cancel })),
             Admission::Displaced { victim, .. } => {
-                if let Some(obs) = &self.shared.obs {
-                    obs.submitted.inc();
-                }
-                // displacement swaps one queued entry for another, so the
-                // depth is re-read from the queue itself rather than
-                // guessed at (+1 for the arrival, -1 for the victim)
-                self.shared.sync_queue_depth();
-                self.shared.shed_victim(victim);
-                Ok(Ticket { receiver, cancel })
+                let ticket = self.admitted(Ticket { receiver, cancel });
+                // the victim was admitted (already counted `submitted`),
+                // so it lands in exactly one completion bucket: `shed`
+                let retry_after_hint = self.shared.retry_after_hint();
+                self.shared.finish(
+                    victim,
+                    Err(ServeError::Shed { retry_after_hint }),
+                    false,
+                    None,
+                );
+                Ok(ticket)
             }
             Admission::Full(_, depth) => {
                 self.unmake_work(true);
@@ -1320,13 +1293,7 @@ impl EvalService {
         let cancel = CancelToken::new();
         let (work, receiver) = self.make_work(request, &cancel);
         match self.shared.queue.push_blocking(work) {
-            Ok(()) => {
-                if let Some(obs) = &self.shared.obs {
-                    obs.submitted.inc();
-                }
-                self.shared.sync_queue_depth();
-                Ok(Ticket { receiver, cancel })
-            }
+            Ok(()) => Ok(self.admitted(Ticket { receiver, cancel })),
             Err(_) => {
                 self.unmake_work(false);
                 Err(SubmitError::ShuttingDown)
@@ -1361,16 +1328,18 @@ impl EvalService {
         let session = self.shared.current_session();
         let s = session.stats();
         let c = *self.shared.counters();
+        let cells = &self.shared.cells;
+        let [completed, panicked, canceled, shed] = c.finished;
         ServiceStats {
             submitted: c.submitted,
-            rejected: c.rejected,
-            completed: c.completed,
-            panicked: c.panicked,
-            canceled: c.canceled,
-            shed: c.shed,
-            fleet_dispatched: c.fleet_dispatched,
-            fleet_fallbacks: c.fleet_fallbacks,
-            recycles: c.recycles,
+            rejected: cells.rejected.get(),
+            completed,
+            panicked,
+            canceled,
+            shed,
+            fleet_dispatched: cells.fleet_dispatched.get(),
+            fleet_fallbacks: cells.fleet_fallbacks.get(),
+            recycles: cells.recycles.get(),
             peak_slots: c.peak_slots,
             queued: self.shared.queue.len(),
             session_slots: s.total_slots(),
@@ -2241,5 +2210,69 @@ mod tests {
             "malformed specs fail at compile, before fleet dispatch"
         );
         assert_eq!(stats.fleet_fallbacks, 0);
+    }
+
+    #[test]
+    fn fleet_task_failure_has_one_classification() {
+        use crate::pool::FleetPoolConfig;
+        use crate::proc::{EventKind, WorkerEvent, WorkerHandle, WorkerSpawner};
+        use crate::protocol::Frame;
+        use crate::supervisor::HostConfig;
+        // a worker that answers every task with a deterministic failure
+        struct FailsEveryTask;
+        struct Failing(u32, u64, mpsc::Sender<WorkerEvent>);
+        impl WorkerHandle for Failing {
+            fn send(&mut self, frame: &Frame) -> std::io::Result<()> {
+                if let Frame::Task { id, .. } = frame {
+                    let failed = Frame::TaskFailed {
+                        id: *id,
+                        deterministic: true,
+                        message: "unsupported".to_string(),
+                    };
+                    let (slot, epoch) = (self.0, self.1);
+                    let kind = EventKind::Frame(failed);
+                    let _ = self.2.send(WorkerEvent { slot, epoch, kind });
+                }
+                Ok(())
+            }
+            fn kill(&mut self) {}
+        }
+        impl WorkerSpawner for FailsEveryTask {
+            fn spawn(
+                &self,
+                slot: u32,
+                epoch: u64,
+                _fault: Option<crate::fault::WorkerFault>,
+                events: mpsc::Sender<WorkerEvent>,
+            ) -> std::io::Result<Box<dyn WorkerHandle>> {
+                Ok(Box::new(Failing(slot, epoch, events)))
+            }
+        }
+        let hub = ObsHub::new();
+        let config = FleetPoolConfig::default()
+            .with_hosts(1)
+            .with_host_config(HostConfig::default().with_shards(1));
+        let pool =
+            FleetPool::with_spawners(config, |_| Box::new(FailsEveryTask), Some(hub.clone()));
+        let service = EvalService::start_with_fleet(ServeConfig::default().with_workers(1), pool);
+        let reply = service.submit_spec(demo_spec()).unwrap().wait();
+        assert!(
+            matches!(reply, Err(ServeError::Panicked(_))),
+            "got {reply:?}"
+        );
+        let stats = service.shutdown();
+        assert_eq!(
+            (stats.completed, stats.panicked, stats.recycles),
+            (0, 1, 0),
+            "the reply says panicked, so the bucket does; nothing in process to recycle"
+        );
+        let snap = hub.snapshot();
+        let outcome = |o| snap.value("sparseloop_requests_total", &[("outcome", o)]);
+        assert_eq!(
+            (outcome("completed"), outcome("panicked")),
+            (Some(0), Some(1))
+        );
+        let recorded: Vec<_> = hub.recorder().index().iter().map(|r| r.outcome).collect();
+        assert_eq!(recorded, [RequestOutcome::Panicked]);
     }
 }

@@ -262,12 +262,17 @@ impl std::fmt::Display for HostError {
 
 impl std::error::Error for HostError {}
 
-/// Supervision counters.
+/// Supervision counters, read from the host's counter cells — the one
+/// store each counter has. An observed host attaches those cells to
+/// its `sparseloop_fleet_*` series, so a snapshot renders the same
+/// counts.
 ///
-/// The whole struct is copied out in one piece by [`ShardHost::stats`]
-/// (the host is single-threaded by construction — every mutation goes
-/// through `&mut self`), so a snapshot can never mix counters from two
-/// different moments.
+/// [`ShardHost::stats`] reads them through `&self` (the host is
+/// single-threaded by construction — every mutation goes through
+/// `&mut self`), so its copy never mixes two moments.
+/// [`FleetPool::host_stats`](crate::FleetPool::host_stats) also reads
+/// hosts that are mid-request, so a sum taken under load is a live
+/// reading.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HostStats {
     /// Requests accepted (compiled successfully).
@@ -309,6 +314,29 @@ pub struct HostStats {
     pub hedge_wins: u64,
 }
 
+counter_cells! {
+    /// The cells behind [`HostStats`], attached to the `sparseloop_fleet_*`
+    /// series. Clones share the counts, which is how a pool reads a host
+    /// it has checked out.
+    HostCells => HostStats {
+        requests: "sparseloop_fleet_requests_total",
+        spawns: "sparseloop_fleet_spawns_total",
+        restarts: "sparseloop_fleet_restarts_total",
+        redispatches: "sparseloop_fleet_redispatches_total",
+        deaths_eof: "sparseloop_fleet_deaths_total" ["cause" = "eof"],
+        deaths_heartbeat_timeout: "sparseloop_fleet_deaths_total" ["cause" = "heartbeat_timeout"],
+        kills_injected: "sparseloop_fleet_kills_injected_total",
+        degraded: "sparseloop_fleet_degraded_total",
+        frames_received: "sparseloop_fleet_frames_total",
+        backoff_nanos_total: "sparseloop_fleet_backoff_nanos_total",
+        deadline_exceeded: "sparseloop_fleet_deadline_exceeded_total",
+        breaker_trips: "sparseloop_fleet_breaker_trips_total",
+        breaker_probes: "sparseloop_fleet_breaker_probes_total",
+        hedges_dispatched: "sparseloop_fleet_hedges_total" ["kind" = "dispatched"],
+        hedge_wins: "sparseloop_fleet_hedges_total" ["kind" = "wins"],
+    }
+}
+
 /// What one [`ShardHost::health_check`] sweep did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HealthReport {
@@ -336,14 +364,6 @@ struct SlotState {
     dispatch_span_id: u64,
 }
 
-/// Observability attachment of a [`ShardHost`]: the shared hub plus the
-/// last [`HostStats`] already published, so counters advance by deltas
-/// and stay equal to the stats snapshot after every request.
-struct HostObs {
-    hub: ObsHub,
-    published: HostStats,
-}
-
 /// The supervising parent of a multi-process sharded search (see the
 /// [module docs](self)).
 pub struct ShardHost<S: WorkerSpawner> {
@@ -361,8 +381,8 @@ pub struct ShardHost<S: WorkerSpawner> {
     next_ping_seq: u64,
     breaker: CircuitBreaker,
     hedge_tokens: Option<TokenBucket>,
-    stats: HostStats,
-    obs: Option<HostObs>,
+    cells: HostCells,
+    hub: Option<ObsHub>,
 }
 
 impl<S: WorkerSpawner> ShardHost<S> {
@@ -389,27 +409,25 @@ impl<S: WorkerSpawner> ShardHost<S> {
             next_ping_seq: 1,
             breaker,
             hedge_tokens,
-            stats: HostStats::default(),
-            obs: None,
+            cells: HostCells::default(),
+            hub: None,
         }
     }
 
-    /// A host publishing its supervision counters, worker phase
-    /// timings, and dispatch/round-trip spans into `hub` (see the
-    /// README's metric catalog for names).
+    /// A host whose counter cells are attached to `hub`'s registry and
+    /// which records worker phase timings and dispatch/round-trip spans
+    /// into it (see the README's metric catalog for names).
     pub fn new_observed(config: HostConfig, spawner: S, hub: ObsHub) -> Self {
         let mut host = Self::new(config, spawner);
         // breaker cooldowns follow the hub clock, so ManualClock-backed
         // hubs make breaker transitions fully deterministic
         host.breaker.set_clock(hub.clock());
         hub.set_protocol_version(crate::protocol::PROTOCOL_VERSION);
-        host.obs = Some(HostObs {
-            hub,
-            published: HostStats::default(),
-        });
-        // pre-register the catalog so snapshots before any traffic
-        // still expose every fleet series at zero
-        host.publish_metrics();
+        // attaching registers the catalog, so snapshots before any
+        // traffic still expose every fleet series at zero
+        host.cells.attach(hub.registry());
+        host.hub = Some(hub);
+        host.report_breaker();
         host
     }
 
@@ -417,12 +435,18 @@ impl<S: WorkerSpawner> ShardHost<S> {
     /// (`&mut self` everywhere), so this copy is always internally
     /// consistent — no counter can be mid-update.
     pub fn stats(&self) -> HostStats {
-        self.stats
+        HostCells::sum(std::slice::from_ref(&self.cells))
+    }
+
+    /// The cells this host counts into (a pool keeps clones to read
+    /// hosts that are checked out).
+    pub(crate) fn cells(&self) -> &HostCells {
+        &self.cells
     }
 
     /// The attached observability hub, if any.
     pub fn hub(&self) -> Option<&ObsHub> {
-        self.obs.as_ref().map(|o| &o.hub)
+        self.hub.as_ref()
     }
 
     /// Current circuit-breaker position.
@@ -487,7 +511,7 @@ impl<S: WorkerSpawner> ShardHost<S> {
                     }
                     match kind {
                         EventKind::Frame(frame) => {
-                            self.stats.frames_received += 1;
+                            self.cells.frames_received.inc();
                             if let Some(st) = self.slots[slot].as_mut() {
                                 st.last_seen = Instant::now();
                             }
@@ -499,7 +523,7 @@ impl<S: WorkerSpawner> ShardHost<S> {
                             }
                         }
                         EventKind::Exited(_) => {
-                            self.stats.deaths_eof += 1;
+                            self.cells.deaths_eof.inc();
                             self.drop_slot(slot);
                             pending.remove(&slot);
                         }
@@ -521,7 +545,7 @@ impl<S: WorkerSpawner> ShardHost<S> {
                 report.workers_replaced += 1;
             }
         }
-        self.publish_metrics();
+        self.report_breaker();
         report
     }
 
@@ -551,36 +575,34 @@ impl<S: WorkerSpawner> ShardHost<S> {
         // (request id, parent span, round-trip span id, start) — the
         // round-trip span id is allocated up front so dispatch spans
         // can parent under it before it is recorded.
-        let trace = self.obs.as_ref().map(|o| {
+        let trace = self.hub.as_ref().map(|hub| {
             let ctx = ctx.unwrap_or_default();
             let req_id = if ctx.request_id != 0 {
                 ctx.request_id
             } else {
-                o.hub.next_request_id()
+                hub.next_request_id()
             };
             (
                 req_id,
                 ctx.parent_span_id,
-                o.hub.next_span_id(),
-                o.hub.now_nanos(),
+                hub.next_span_id(),
+                hub.now_nanos(),
             )
         });
         let result = self.run_spec_inner(text, trace.map(|(id, _, span, _)| (id, span)));
-        if let Some((req_id, parent, span, start_nanos)) = trace {
+        if let (Some(hub), Some((req_id, parent, span, start_nanos))) = (&self.hub, trace) {
             if result.is_ok() {
-                if let Some(o) = &self.obs {
-                    o.hub.span_with_id(
-                        req_id,
-                        span,
-                        parent,
-                        SpanKind::WorkerRoundTrip,
-                        None,
-                        start_nanos,
-                    );
-                }
+                hub.span_with_id(
+                    req_id,
+                    span,
+                    parent,
+                    SpanKind::WorkerRoundTrip,
+                    None,
+                    start_nanos,
+                );
             }
-            self.publish_metrics();
         }
+        self.report_breaker();
         result
     }
 
@@ -593,19 +615,19 @@ impl<S: WorkerSpawner> ShardHost<S> {
         let scenario = sparseloop_spec::compile_str(text)
             .map_err(|e| HostError::InvalidSpec(SpecDiagnostic::from(&e)))?
             .into_scenario();
-        self.stats.requests += 1;
+        self.cells.requests.inc();
         let n = self.config.shards;
 
         // an open breaker short-circuits straight to the degraded
         // in-process path: a sick fleet is a *state*, not something
         // each request rediscovers through spawn attempts and backoff
         if !self.breaker.allow() {
-            self.stats.degraded += 1;
+            self.cells.degraded.inc();
             let outcome = scenario.run_exec(&self.session, Exec::Shards(n), None);
             return Ok(scenario_reply(outcome));
         }
         if self.breaker.state() == BreakerState::HalfOpen {
-            self.stats.breaker_probes += 1;
+            self.cells.breaker_probes.inc();
         }
 
         // ensure a full primary fleet; if the transport cannot produce
@@ -614,9 +636,9 @@ impl<S: WorkerSpawner> ShardHost<S> {
         for slot in 0..n {
             if self.slots[slot].is_none() && self.spawn_slot(slot).is_err() {
                 if self.breaker.record_failure() {
-                    self.stats.breaker_trips += 1;
+                    self.cells.breaker_trips.inc();
                 }
-                self.stats.degraded += 1;
+                self.cells.degraded.inc();
                 let outcome = scenario.run_exec(&self.session, Exec::Shards(n), None);
                 return Ok(scenario_reply(outcome));
             }
@@ -643,7 +665,7 @@ impl<S: WorkerSpawner> ShardHost<S> {
             let now = Instant::now();
             if let Some(d) = deadline {
                 if now >= d {
-                    self.stats.deadline_exceeded += 1;
+                    self.cells.deadline_exceeded.inc();
                     return Err(HostError::DeadlineExceeded);
                 }
             }
@@ -704,7 +726,7 @@ impl<S: WorkerSpawner> ShardHost<S> {
                     }
                     match kind {
                         EventKind::Frame(frame) => {
-                            self.stats.frames_received += 1;
+                            self.cells.frames_received.inc();
                             let kill_due = {
                                 let st = self.slots[slot].as_mut().expect("epoch-checked");
                                 st.last_seen = Instant::now();
@@ -715,7 +737,7 @@ impl<S: WorkerSpawner> ShardHost<S> {
                                 Frame::TaskDone { id, results }
                                     if id == task_id && shard_results[shard].is_none() =>
                                 {
-                                    if let Some(o) = &self.obs {
+                                    if let Some(hub) = &self.hub {
                                         let (dispatched, span_id) = self.slots[slot]
                                             .as_ref()
                                             .map(|st| (st.dispatched_nanos, st.dispatch_span_id))
@@ -726,7 +748,7 @@ impl<S: WorkerSpawner> ShardHost<S> {
                                             SpanKind::ShardDispatch
                                         };
                                         let (rid, roundtrip) = trace.unwrap_or((0, 0));
-                                        o.hub.span_with_id(
+                                        hub.span_with_id(
                                             rid,
                                             span_id,
                                             roundtrip,
@@ -736,7 +758,7 @@ impl<S: WorkerSpawner> ShardHost<S> {
                                         );
                                     }
                                     if is_hedge {
-                                        self.stats.hedge_wins += 1;
+                                        self.cells.hedge_wins.inc();
                                     }
                                     shard_results[shard] = Some(results);
                                     if hedge_deadline.is_none() {
@@ -807,7 +829,7 @@ impl<S: WorkerSpawner> ShardHost<S> {
                                 _ => {}
                             }
                             if kill_due {
-                                self.stats.kills_injected += 1;
+                                self.cells.kills_injected.inc();
                                 self.kill_slot(slot);
                                 if !is_hedge && shard_results[shard].is_none() {
                                     self.retire_attempt(
@@ -828,7 +850,7 @@ impl<S: WorkerSpawner> ShardHost<S> {
                             }
                         }
                         EventKind::Exited(why) => {
-                            self.stats.deaths_eof += 1;
+                            self.cells.deaths_eof.inc();
                             self.drop_slot(slot);
                             // a dead hedge worker is just a lost bet —
                             // the primary attempt is still in flight, so
@@ -861,7 +883,7 @@ impl<S: WorkerSpawner> ShardHost<S> {
                             st.last_seen.elapsed() > self.config.heartbeat_timeout
                         });
                         if silent {
-                            self.stats.deaths_heartbeat_timeout += 1;
+                            self.cells.deaths_heartbeat_timeout.inc();
                             self.kill_slot(slot);
                             if !is_hedge {
                                 self.retire_attempt(
@@ -952,7 +974,7 @@ impl<S: WorkerSpawner> ShardHost<S> {
         let handle =
             self.spawner
                 .spawn(slot as u32, epoch, worker_fault, self.events_tx.clone())?;
-        self.stats.spawns += 1;
+        self.cells.spawns.inc();
         self.slots[slot] = Some(SlotState {
             handle,
             epoch,
@@ -987,8 +1009,8 @@ impl<S: WorkerSpawner> ShardHost<S> {
             // parents its phase spans under it via the task's trace
             // context, and the span itself is recorded at result
             // receipt (retries therefore show as sibling dispatches).
-            let (trace_request, dispatch_span) = match (&self.obs, trace) {
-                (Some(o), Some((rid, _))) => (rid, o.hub.next_span_id()),
+            let (trace_request, dispatch_span) = match (&self.hub, trace) {
+                (Some(hub), Some((rid, _))) => (rid, hub.next_span_id()),
                 _ => (0, 0),
             };
             let task = Frame::Task {
@@ -999,11 +1021,11 @@ impl<S: WorkerSpawner> ShardHost<S> {
                 spec: spec.to_string(),
                 // ask for a phase-timing Stats frame only when someone
                 // is listening
-                want_stats: self.obs.is_some(),
+                want_stats: self.hub.is_some(),
                 trace_request,
                 trace_parent: dispatch_span,
             };
-            let dispatched_nanos = self.obs.as_ref().map_or(0, |o| o.hub.now_nanos());
+            let dispatched_nanos = self.hub.as_ref().map_or(0, ObsHub::now_nanos);
             let send = {
                 let st = self.slots[slot].as_mut().expect("spawned above");
                 st.frames_since_dispatch = 0;
@@ -1022,7 +1044,7 @@ impl<S: WorkerSpawner> ShardHost<S> {
                 .as_ref()
                 .is_some_and(|st| st.kill_after == Some(0));
             if instant_kill {
-                self.stats.kills_injected += 1;
+                self.cells.kills_injected.inc();
                 self.kill_slot(slot);
                 self.retire_attempt(slot, attempts, "injected kill".to_string(), deadline)?;
                 continue;
@@ -1046,8 +1068,8 @@ impl<S: WorkerSpawner> ShardHost<S> {
         if self.slots[slot].is_none() && self.spawn_slot(slot).is_err() {
             return;
         }
-        let (trace_request, dispatch_span) = match (&self.obs, trace) {
-            (Some(o), Some((rid, _))) => (rid, o.hub.next_span_id()),
+        let (trace_request, dispatch_span) = match (&self.hub, trace) {
+            (Some(hub), Some((rid, _))) => (rid, hub.next_span_id()),
             _ => (0, 0),
         };
         let task = Frame::Task {
@@ -1062,7 +1084,7 @@ impl<S: WorkerSpawner> ShardHost<S> {
             trace_request,
             trace_parent: dispatch_span,
         };
-        let dispatched_nanos = self.obs.as_ref().map_or(0, |o| o.hub.now_nanos());
+        let dispatched_nanos = self.hub.as_ref().map_or(0, ObsHub::now_nanos);
         let send = {
             let st = self.slots[slot].as_mut().expect("spawned above");
             st.frames_since_dispatch = 0;
@@ -1075,7 +1097,7 @@ impl<S: WorkerSpawner> ShardHost<S> {
             self.drop_slot(slot);
             return;
         }
-        self.stats.hedges_dispatched += 1;
+        self.cells.hedges_dispatched.inc();
     }
 
     /// Books one consumed spawn attempt for `slot`: fails the request
@@ -1092,10 +1114,9 @@ impl<S: WorkerSpawner> ShardHost<S> {
         deadline: Option<Instant>,
     ) -> Result<(), HostError> {
         attempts[slot] += 1;
-        self.stats.restarts += 1;
-        if let Some(o) = &self.obs {
-            o.hub
-                .registry()
+        self.cells.restarts.inc();
+        if let Some(hub) = &self.hub {
+            hub.registry()
                 .counter(
                     "sparseloop_fleet_shard_attempts_total",
                     &[("shard", &slot.to_string())],
@@ -1104,7 +1125,7 @@ impl<S: WorkerSpawner> ShardHost<S> {
         }
         if attempts[slot] > self.config.max_retries {
             if self.breaker.record_failure() {
-                self.stats.breaker_trips += 1;
+                self.cells.breaker_trips.inc();
             }
             return Err(HostError::WorkerLost {
                 shard: slot,
@@ -1112,135 +1133,32 @@ impl<S: WorkerSpawner> ShardHost<S> {
                 last: why,
             });
         }
-        self.stats.redispatches += 1;
+        self.cells.redispatches.inc();
         let exp = (attempts[slot] - 1).min(16);
         let mut backoff = self.config.backoff_base.saturating_mul(1 << exp);
         if let Some(d) = deadline {
             let now = Instant::now();
             if now >= d {
-                self.stats.deadline_exceeded += 1;
+                self.cells.deadline_exceeded.inc();
                 return Err(HostError::DeadlineExceeded);
             }
             backoff = backoff.min(d - now);
         }
-        self.stats.backoff_nanos_total = self
-            .stats
+        self.cells
             .backoff_nanos_total
-            .saturating_add(u64::try_from(backoff.as_nanos()).unwrap_or(u64::MAX));
+            .add(u64::try_from(backoff.as_nanos()).unwrap_or(u64::MAX));
         std::thread::sleep(backoff);
         Ok(())
     }
 
-    /// Publishes the delta between the current [`HostStats`] and the
-    /// last published copy into the hub's registry — called once per
-    /// request, so after any request every fleet counter equals its
-    /// stats field. Registration is idempotent, so the full catalog
-    /// appears in snapshots even at zero.
-    fn publish_metrics(&mut self) {
-        let now = self.stats;
-        let breaker_code = self.breaker.state().code();
-        let Some(obs) = &mut self.obs else { return };
-        let prev = obs.published;
-        let reg = obs.hub.registry();
-        let publish = |name: &str, labels: &[(&str, &str)], new: u64, old: u64| {
-            let counter = reg.counter(name, labels);
-            if new > old {
-                counter.add(new - old);
-            }
-        };
-        publish(
-            "sparseloop_fleet_requests_total",
-            &[],
-            now.requests,
-            prev.requests,
-        );
-        publish(
-            "sparseloop_fleet_spawns_total",
-            &[],
-            now.spawns,
-            prev.spawns,
-        );
-        publish(
-            "sparseloop_fleet_restarts_total",
-            &[],
-            now.restarts,
-            prev.restarts,
-        );
-        publish(
-            "sparseloop_fleet_redispatches_total",
-            &[],
-            now.redispatches,
-            prev.redispatches,
-        );
-        publish(
-            "sparseloop_fleet_deaths_total",
-            &[("cause", "eof")],
-            now.deaths_eof,
-            prev.deaths_eof,
-        );
-        publish(
-            "sparseloop_fleet_deaths_total",
-            &[("cause", "heartbeat_timeout")],
-            now.deaths_heartbeat_timeout,
-            prev.deaths_heartbeat_timeout,
-        );
-        publish(
-            "sparseloop_fleet_kills_injected_total",
-            &[],
-            now.kills_injected,
-            prev.kills_injected,
-        );
-        publish(
-            "sparseloop_fleet_degraded_total",
-            &[],
-            now.degraded,
-            prev.degraded,
-        );
-        publish(
-            "sparseloop_fleet_frames_total",
-            &[],
-            now.frames_received,
-            prev.frames_received,
-        );
-        publish(
-            "sparseloop_fleet_backoff_nanos_total",
-            &[],
-            now.backoff_nanos_total,
-            prev.backoff_nanos_total,
-        );
-        publish(
-            "sparseloop_fleet_deadline_exceeded_total",
-            &[],
-            now.deadline_exceeded,
-            prev.deadline_exceeded,
-        );
-        publish(
-            "sparseloop_fleet_breaker_trips_total",
-            &[],
-            now.breaker_trips,
-            prev.breaker_trips,
-        );
-        publish(
-            "sparseloop_fleet_breaker_probes_total",
-            &[],
-            now.breaker_probes,
-            prev.breaker_probes,
-        );
-        publish(
-            "sparseloop_fleet_hedges_total",
-            &[("kind", "dispatched")],
-            now.hedges_dispatched,
-            prev.hedges_dispatched,
-        );
-        publish(
-            "sparseloop_fleet_hedges_total",
-            &[("kind", "wins")],
-            now.hedge_wins,
-            prev.hedge_wins,
-        );
-        reg.gauge("sparseloop_fleet_breaker_state", &[])
-            .set_u64(breaker_code);
-        obs.published = now;
+    /// Sets `sparseloop_fleet_breaker_state` to the breaker's current
+    /// position (at construction and after every request and sweep).
+    fn report_breaker(&self) {
+        if let Some(hub) = &self.hub {
+            hub.registry()
+                .gauge("sparseloop_fleet_breaker_state", &[])
+                .set_u64(self.breaker.state().code());
+        }
     }
 
     /// Folds one worker-side [`Frame::Stats`] into histograms and
@@ -1259,8 +1177,8 @@ impl<S: WorkerSpawner> ShardHost<S> {
     ) {
         let (compile_nanos, search_nanos) = timings;
         let (generated, evaluated) = counts;
-        let Some(obs) = &self.obs else { return };
-        let reg = obs.hub.registry();
+        let Some(hub) = &self.hub else { return };
+        let reg = hub.registry();
         let shard_label = shard.to_string();
         reg.histogram(
             "sparseloop_worker_compile_nanos",
@@ -1284,8 +1202,8 @@ impl<S: WorkerSpawner> ShardHost<S> {
             &[("stage", "evaluated")],
         )
         .add(evaluated);
-        let now = obs.hub.now_nanos();
-        obs.hub.span_with_duration(
+        let now = hub.now_nanos();
+        hub.span_with_duration(
             request_id,
             SpanKind::WorkerCompile,
             Some(shard),
@@ -1293,7 +1211,7 @@ impl<S: WorkerSpawner> ShardHost<S> {
             compile_nanos,
             parent_span,
         );
-        obs.hub.span_with_duration(
+        hub.span_with_duration(
             request_id,
             SpanKind::WorkerSearch,
             Some(shard),
@@ -1562,7 +1480,7 @@ mod tests {
     }
 
     /// Every fleet counter in the registry must equal its [`HostStats`]
-    /// field after a request — the published deltas reconcile exactly.
+    /// field after a request — the series renders the host's own cells.
     fn assert_metrics_match_stats(host: &ShardHost<impl WorkerSpawner>, tag: &str) {
         let stats = host.stats();
         let snap = host.hub().expect("observed host").snapshot();
