@@ -27,7 +27,6 @@ pub use mapper::{
     SearchStats, ShardWinner, WorkerEvaluator,
 };
 pub use mapspace::{
-    factorizations, CandidateKey, ChangeDepth, EnumerateIter, HaltonSampleIter, Mapspace,
-    MapspaceShard, SampleIter,
+    factorizations, CandidateKey, ChangeDepth, EnumerateIter, Mapspace, SampleIter,
 };
 pub use wire::{WireError, WireReader, WireWriter};

@@ -11,9 +11,14 @@
 //!
 //! # Search pipeline
 //!
-//! Candidates stream out of the mapspace iterators
-//! ([`Mapspace::iter_enumerate`] / [`Mapspace::iter_sample`]) — O(1)
-//! memory in the candidate count — and flow through a two-stage
+//! Every strategy is one candidate stream: an enumerated prefix (one
+//! [`EnumerateIter`] walk — [`Mapspace::iter_enumerate`], or one of
+//! [`Mapspace::shards`]) followed by a sample tail (one
+//! [`SampleIter`](crate::SampleIter), uniform or Halton) that skips
+//! candidates the prefix already yielded. `Exhaustive` is a prefix
+//! with no tail and `Random` a tail with no prefix. The stream needs
+//! O(1) memory in the candidate count beyond the tail's dedup set, and
+//! candidates flow through a two-stage
 //! evaluation: a cheap [`CandidateEvaluator::precheck`] rejects
 //! obviously-invalid candidates (e.g. oversized tiles) before the full
 //! objective runs. [`Mapper::search`] is the one entry point; its
@@ -23,7 +28,7 @@
 //! bit-identical winners and counters.
 
 use crate::loops::Mapping;
-use crate::mapspace::{CandidateKey, ChangeDepth, Mapspace};
+use crate::mapspace::{CandidateKey, ChangeDepth, EnumerateIter, Mapspace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashSet;
@@ -231,59 +236,26 @@ impl Mapper {
         &self,
         space: &'a Mapspace,
     ) -> Box<dyn Iterator<Item = (ChangeDepth, Mapping)> + Send + 'a> {
-        match *self {
-            Mapper::Exhaustive { limit } => {
-                let mut it = space.iter_enumerate(limit);
-                Box::new(std::iter::from_fn(move || it.next_delta()))
-            }
-            Mapper::Random { samples, seed } => Box::new(
-                space
-                    .iter_sample(samples, StdRng::seed_from_u64(seed))
-                    .map(|m| (ChangeDepth::Reset, m)),
-            ),
-            Mapper::Hybrid {
-                enumerate,
-                samples,
-                seed,
-                sampling,
-            } => {
-                // dedup sampled candidates against the enumerated prefix:
-                // re-evaluating a mapping enumeration already scored
-                // wastes the sample budget without changing the winner.
-                // The prefix stays streaming (O(1) beyond the dedup set
-                // itself): each enumerated candidate is recorded into the
-                // set as it is yielded, and the sample tail filters
-                // against it. The tail is built only once the prefix runs
-                // dry — and not at all when the prefix *covered* the
-                // space: every sample would dedup away, so the tail's
-                // 20x-samples draw budget would be pure waste (the cover
-                // check is free — the enumeration stream already knows
-                // whether its counter wrapped). `enumerate == 0` is the
-                // pure-sampling degenerate: exhaustion then means "no
-                // prefix", not "covered", so the tail always runs.
-                let mut seen: HashSet<Mapping> = HashSet::new();
-                let mut prefix = space.iter_enumerate(enumerate);
-                let mut tail: Option<Box<dyn Iterator<Item = Mapping> + Send + 'a>> = None;
-                Box::new(std::iter::from_fn(move || loop {
-                    if let Some(t) = tail.as_mut() {
-                        return t
-                            .find(|m| !seen.contains(m))
-                            .map(|m| (ChangeDepth::Reset, m));
+        let (enumerate, samples, ..) = self.as_hybrid();
+        // the prefix streams out as it is walked; each candidate is
+        // recorded for the tail's dedup (only when a tail can run), and
+        // the tail is built once the prefix runs dry
+        let mut seen: HashSet<Mapping> = HashSet::new();
+        let mut prefix = space.iter_enumerate(enumerate);
+        let mut tail: Option<Box<dyn Iterator<Item = Mapping> + Send + 'a>> = None;
+        let mapper = *self;
+        Box::new(std::iter::from_fn(move || {
+            if tail.is_none() {
+                if let Some((_, depth, m)) = prefix.next_delta() {
+                    if samples > 0 {
+                        seen.insert(m.clone());
                     }
-                    if let Some((depth, m)) = prefix.next_delta() {
-                        if samples > 0 {
-                            seen.insert(m.clone());
-                        }
-                        return Some((depth, m));
-                    }
-                    tail = if samples == 0 || (enumerate > 0 && prefix.space_exhausted()) {
-                        Some(Box::new(std::iter::empty()))
-                    } else {
-                        Some(sample_tail(space, samples, seed, sampling))
-                    };
-                }))
+                    return Some((depth, m));
+                }
+                tail = Some(mapper.hybrid_tail(space, &prefix, std::mem::take(&mut seen)));
             }
-        }
+            tail.as_mut()?.next().map(|m| (ChangeDepth::Reset, m))
+        }))
     }
 
     /// Searches `space` for the candidate minimizing `evaluator`'s
@@ -351,17 +323,14 @@ impl Mapper {
     /// shard's return through [`merge_shard_results`] is exactly what
     /// [`Mapper::search`] does under [`Exec::Shards`].
     ///
-    /// Division of labor by strategy:
+    /// Division of labor:
     ///
-    /// * `Exhaustive` (and `Hybrid` with no samples) — shard `shard` of
-    ///   the enumerated stream.
-    /// * `Hybrid` — shard `shard` of the enumerated prefix; shard 0
-    ///   additionally owns the (inherently sequential) seeded sample
-    ///   tail, regenerating the *full* prefix locally to rebuild the
-    ///   dedup set and the cover-check counter the unsharded stream
-    ///   maintains for free.
-    /// * `Random` — one seeded sequence with nothing to shard: shard 0
-    ///   walks it whole; other shards return empty.
+    /// * every shard walks shard `shard` of the enumerated prefix
+    ///   (`Random` has none);
+    /// * shard 0 additionally owns the (inherently sequential) seeded
+    ///   sample tail, regenerating the *full* prefix locally to rebuild
+    ///   the dedup set and the cover check the unsharded stream
+    ///   maintains for free (`Exhaustive` has no tail).
     ///
     /// Panics if `shard >= shards` or `shards == 0`.
     pub fn search_shard_counted<E: CandidateEvaluator + ?Sized>(
@@ -373,63 +342,78 @@ impl Mapper {
     ) -> (Option<ShardWinner>, SearchStats) {
         assert!(shards > 0, "shard count must be positive");
         assert!(shard < shards, "shard index {shard} out of {shards}");
+        let (enumerate, samples, ..) = self.as_hybrid();
         // one worker per shard: the shard is one contiguous sub-stream,
         // so its change depths hold end to end
-        let enumerated_shard = |limit: usize| {
-            let mut own = space.shards(shards, limit).swap_remove(shard);
-            Best::default().walk(evaluator, std::iter::from_fn(|| own.next_delta()))
-        };
-        let best = match *self {
-            Mapper::Exhaustive { limit } => enumerated_shard(limit),
-            Mapper::Random { .. } if shard != 0 => Best::default(),
-            // the whole seeded stream, keyed like a sample tail: the
-            // first strict minimum wins, exactly as in the unsharded scan
-            Mapper::Random { .. } => Best::default().walk(
-                evaluator,
-                self.delta_candidates(space)
-                    .enumerate()
-                    .map(|(i, (depth, m))| (CandidateKey::sampled(i as u64), depth, m)),
-            ),
+        let mut own = space.shards(shards, enumerate).swap_remove(shard);
+        let best = Best::default().walk(evaluator, std::iter::from_fn(|| own.next_delta()));
+        if samples == 0 || shard != 0 {
+            return (best.winner, best.stats);
+        }
+        // shard 0 owns the sample tail, whose dedup set and cover check
+        // span the *whole* prefix: regenerate it locally (generation
+        // only — no evaluation)
+        let mut seen: HashSet<Mapping> = HashSet::new();
+        let mut prefix = space.iter_enumerate(enumerate);
+        while let Some((_, _, m)) = prefix.next_delta() {
+            seen.insert(m);
+        }
+        // sampled keys order after all enumerated keys, matching the
+        // tail's stream position; sampled draws share no prefix, so
+        // every one is a Reset
+        let tail = self
+            .hybrid_tail(space, &prefix, seen)
+            .enumerate()
+            .map(|(i, m)| (CandidateKey::sampled(i as u64), ChangeDepth::Reset, m));
+        let best = best.walk(evaluator, tail);
+        (best.winner, best.stats)
+    }
+
+    /// Every strategy as `(enumerate, samples, seed, sampling)` of a
+    /// hybrid: `Exhaustive` is a prefix with no samples, `Random` is
+    /// uniform samples with no prefix (nothing to dedup against).
+    fn as_hybrid(&self) -> (usize, usize, u64, SampleStrategy) {
+        match *self {
+            Mapper::Exhaustive { limit } => (limit, 0, 0, SampleStrategy::Uniform),
+            Mapper::Random { samples, seed } => (0, samples, seed, SampleStrategy::Uniform),
             Mapper::Hybrid {
                 enumerate,
                 samples,
                 seed,
                 sampling,
-            } => {
-                let best = enumerated_shard(enumerate);
-                if samples == 0 || shard != 0 {
-                    return (best.winner, best.stats);
-                }
-                // shard 0 owns the sample tail. The tail's dedup set and
-                // the cover-check counter span the *whole* prefix, so
-                // regenerate it locally (generation only — no evaluation;
-                // shards are disjoint and collectively exhaustive, so
-                // this count equals the union of every shard's
-                // `generated`).
-                let mut seen: HashSet<Mapping> = HashSet::new();
-                let mut prefix = space.iter_enumerate(enumerate);
-                let mut total_generated = 0usize;
-                while let Some((_, m)) = prefix.next_delta() {
-                    total_generated += 1;
-                    seen.insert(m);
-                }
-                // a prefix that ran dry below its cap covered the space:
-                // every sample would dedup away, so the tail is skipped
-                // like the unsharded stream skips it
-                if total_generated < enumerate {
-                    return (best.winner, best.stats);
-                }
-                // sampled keys order after all enumerated keys, matching
-                // the tail's stream position; sampled draws share no
-                // prefix, so every one is a Reset
-                let tail = sample_tail(space, samples, seed, sampling)
-                    .filter(|m| !seen.contains(m))
-                    .enumerate()
-                    .map(|(i, m)| (CandidateKey::sampled(i as u64), ChangeDepth::Reset, m));
-                best.walk(evaluator, tail)
-            }
-        };
-        (best.winner, best.stats)
+            } => (enumerate, samples, seed, sampling),
+        }
+    }
+
+    /// The sample tail after the enumerated prefix `prefix` was walked
+    /// to its end, recording every candidate in `seen`: the seeded draws
+    /// (uniform RNG or Halton) minus those already in `seen`. Empty with
+    /// no samples, or when the prefix covered the space — every draw
+    /// would dedup away, so the tail's `20 × samples` draw budget would
+    /// be pure waste. `enumerate == 0` is the pure-sampling degenerate:
+    /// exhaustion then means "no prefix", not "covered".
+    fn hybrid_tail<'a>(
+        &self,
+        space: &'a Mapspace,
+        prefix: &EnumerateIter<'_>,
+        seen: HashSet<Mapping>,
+    ) -> Box<dyn Iterator<Item = Mapping> + Send + 'a> {
+        let (enumerate, samples, seed, sampling) = self.as_hybrid();
+        if samples == 0 || (enumerate > 0 && prefix.space_exhausted()) {
+            return Box::new(std::iter::empty());
+        }
+        match sampling {
+            SampleStrategy::Uniform => Box::new(
+                space
+                    .iter_sample(samples, StdRng::seed_from_u64(seed))
+                    .filter(move |m| !seen.contains(m)),
+            ),
+            SampleStrategy::Halton => Box::new(
+                space
+                    .iter_sample_halton(samples, seed)
+                    .filter(move |m| !seen.contains(m)),
+            ),
+        }
     }
 }
 
@@ -451,22 +435,6 @@ pub fn merge_shard_results(
             acc.merge(Best { winner, stats })
         })
         .finish()
-}
-
-/// The hybrid strategy's sample tail as a boxed stream (uniform RNG or
-/// Halton low-discrepancy draws).
-fn sample_tail<'a>(
-    space: &'a Mapspace,
-    samples: usize,
-    seed: u64,
-    sampling: SampleStrategy,
-) -> Box<dyn Iterator<Item = Mapping> + Send + 'a> {
-    match sampling {
-        SampleStrategy::Uniform => {
-            Box::new(space.iter_sample(samples, StdRng::seed_from_u64(seed)))
-        }
-        SampleStrategy::Halton => Box::new(space.iter_sample_halton(samples, seed)),
-    }
 }
 
 /// A walk's running winner — the `(objective, key)`-lexicographic

@@ -156,13 +156,12 @@ fn radical_inverse(mut i: u64, base: u64) -> f64 {
 /// positive factors, produced in exactly the order [`factorizations`]
 /// returns them.
 ///
-/// [`Mapspace::iter_enumerate`] walks a mixed-radix counter over one
-/// stream per workload dimension. The counter revisits indices, so
+/// [`EnumerateIter`] walks a mixed-radix counter over one stream per
+/// within-block workload dimension. The counter revisits indices, so
 /// produced factorizations are cached for O(1) re-access — but nothing
 /// past the highest index the counter has touched is ever computed, so an
-/// enumeration stopped early by its output `limit` no longer pays the
-/// full ordered-factor list of an astronomically composite bound up front
-/// (the eager per-dimension allocation previously flagged in ROADMAP).
+/// enumeration stopped early by its output `limit` never pays the full
+/// ordered-factor list of an astronomically composite bound up front.
 ///
 /// `k == 0` models a dimension that owns no loop slots: the stream holds
 /// exactly one empty factorization (a unit radix in the counter).
@@ -485,21 +484,13 @@ impl Mapspace {
         slots
     }
 
-    /// Builds the mapping corresponding to per-slot factors, dropping
-    /// factor-1 loops. Returns `None` if a spatial fanout budget is
-    /// exceeded. `keep` is the shared bypass configuration snapshot the
-    /// iterator took from this space (see [`Mapping::with_shared_keep`]).
-    fn mapping_from_factors(
-        &self,
-        slots: &[Slot],
-        factors: &[u64],
-        keep: &Arc<Vec<Vec<bool>>>,
-    ) -> Option<Mapping> {
-        if !self.fanout_ok(slots, factors) {
-            return None;
-        }
+    /// Builds the mapping corresponding to fanout-valid per-slot factors
+    /// (see [`fanout_ok`](Mapspace::fanout_ok)), dropping factor-1
+    /// loops. Every mapping shares the plan's bypass configuration
+    /// snapshot (see [`Mapping::with_shared_keep`]).
+    fn mapping_from_factors(&self, plan: &SlotPlan, factors: &[u64]) -> Mapping {
         let mut nests: Vec<Vec<Loop>> = vec![Vec::new(); self.num_levels];
-        for (s, &f) in slots.iter().zip(factors) {
+        for (s, &f) in plan.slots.iter().zip(factors) {
             if f > 1 {
                 nests[s.level].push(if s.spatial {
                     Loop::spatial(s.dim, f)
@@ -508,15 +499,12 @@ impl Mapspace {
                 });
             }
         }
-        Some(Mapping::with_shared_keep(nests, Arc::clone(keep)))
+        Mapping::with_shared_keep(nests, Arc::clone(&plan.keep))
     }
 
     /// Whether per-slot factors respect every level's spatial fanout
-    /// budget — the exact validity test [`mapping_from_factors`] applies
-    /// before building a mapping (shared with the shard census, which
-    /// must count candidates without paying for their construction).
-    ///
-    /// [`mapping_from_factors`]: Mapspace::mapping_from_factors
+    /// budget: the one validity test of enumeration, sampling and the
+    /// shard census (which counts candidates without building them).
     fn fanout_ok(&self, slots: &[Slot], factors: &[u64]) -> bool {
         for l in 0..self.num_levels {
             let spatial_product: u64 = slots
@@ -530,28 +518,6 @@ impl Mapspace {
             }
         }
         true
-    }
-
-    /// Lazy factorization streams for the dims in `range` (unit streams
-    /// for dimensions that own no slots), each with index 0
-    /// pre-materialized so a counter's initial state is addressable
-    /// (every stream holds >= 1 factorization). Shared by the
-    /// enumeration iterator, the shard census, and the shards
-    /// themselves — one definition, so they cannot drift apart.
-    fn dim_streams(
-        &self,
-        plan: &SlotPlan,
-        range: std::ops::Range<usize>,
-    ) -> Vec<FactorizationStream> {
-        range
-            .map(|d| {
-                let mut stream =
-                    FactorizationStream::new(self.dim_bounds[d], plan.per_dim[d].len());
-                let first = stream.get(0);
-                debug_assert!(first.is_some());
-                stream
-            })
-            .collect()
     }
 
     /// Precomputes the slot layout shared by enumeration and sampling.
@@ -573,7 +539,9 @@ impl Mapspace {
         }
     }
 
-    /// Streaming deterministic enumeration of up to `limit` mappings.
+    /// Streaming deterministic enumeration of up to `limit` mappings:
+    /// the one-shard case of [`shards`](Mapspace::shards), whose keys are
+    /// `(0, position)`.
     ///
     /// Candidates are produced lazily in the same order [`enumerate`]
     /// (a thin collecting wrapper) returns them, so exhaustive search
@@ -582,9 +550,7 @@ impl Mapspace {
     ///
     /// `limit` caps only the *output*: every candidate of the space is
     /// reachable given a large enough `limit` — a dimension with many
-    /// factorizations never silently loses its tail (the seed capped the
-    /// per-dimension lists at `limit` too, which made small limits skip
-    /// late-but-valid candidates entirely).
+    /// factorizations never silently loses its tail.
     ///
     /// Memory note: each dimension's ordered factorization list is a
     /// *lazy memoizing stream* (`FactorizationStream`): factorizations
@@ -595,37 +561,15 @@ impl Mapspace {
     ///
     /// [`enumerate`]: Mapspace::enumerate
     pub fn iter_enumerate(&self, limit: usize) -> EnumerateIter<'_> {
-        let plan = self.plan();
-        let dims = self.dim_streams(&plan, 0..self.num_dims);
-        let num_slots = plan.slots.len();
-        EnumerateIter {
-            space: self,
-            choice: vec![0usize; self.num_dims],
-            dims,
-            factors: vec![1u64; num_slots],
-            prev_factors: vec![1u64; num_slots],
-            have_prev: false,
-            produced: 0,
-            limit,
-            exhausted: !plan.feasible || limit == 0,
-            plan,
-        }
+        self.shards(1, limit).swap_remove(0)
     }
 
     /// Streaming random sampling of up to `count` mappings (duplicates
     /// possible). Draws stop after `count` valid mappings or `20 × count`
     /// attempts, whichever comes first — identical semantics to
     /// [`sample`](Mapspace::sample), which collects this iterator.
-    pub fn iter_sample<R: Rng>(&self, count: usize, rng: R) -> SampleIter<'_, R> {
-        let plan = self.plan();
-        SampleIter {
-            space: self,
-            plan,
-            rng,
-            produced: 0,
-            attempts: 0,
-            count,
-        }
+    pub fn iter_sample<R: Rng>(&self, count: usize, rng: R) -> SampleIter<'_, draw::Uniform<R>> {
+        self.sampler(count, draw::Uniform(rng))
     }
 
     /// Enumerates up to `limit` mappings deterministically, materialized.
@@ -656,7 +600,7 @@ impl Mapspace {
     /// reproducible like [`iter_sample`](Mapspace::iter_sample), with
     /// the same draw-budget semantics (stops after `count` valid
     /// mappings or `20 × count` attempts).
-    pub fn iter_sample_halton(&self, count: usize, seed: u64) -> HaltonSampleIter<'_> {
+    pub fn iter_sample_halton(&self, count: usize, seed: u64) -> SampleIter<'_, draw::Halton> {
         let plan = self.plan();
         let dim_primes: Vec<Vec<u64>> = (0..self.num_dims)
             .map(|d| {
@@ -668,14 +612,28 @@ impl Mapspace {
             })
             .collect();
         let decisions: usize = dim_primes.iter().map(Vec::len).sum();
-        HaltonSampleIter {
+        let mut bases = first_primes(decisions).into_iter();
+        let dims = dim_primes
+            .into_iter()
+            .map(|primes| primes.into_iter().zip(bases.by_ref()).collect())
+            .collect();
+        // offset the sequence by the seed (kept small so radical
+        // inverses stay cheap); +1 skips the all-zeros point
+        self.sampler(
+            count,
+            draw::Halton {
+                dims,
+                offset: (seed % (1 << 16)) + 1,
+            },
+        )
+    }
+
+    /// A sampler of up to `count` mappings drawing with `draw`.
+    fn sampler<D>(&self, count: usize, draw: D) -> SampleIter<'_, D> {
+        SampleIter {
             space: self,
-            plan,
-            bases: first_primes(decisions),
-            dim_primes,
-            // offset the sequence by the seed (kept small so radical
-            // inverses stay cheap); +1 skips the all-zeros point
-            offset: (seed % (1 << 16)) + 1,
+            plan: self.plan(),
+            draw,
             produced: 0,
             attempts: 0,
             count,
@@ -683,32 +641,35 @@ impl Mapspace {
     }
 
     /// Partitions [`iter_enumerate`]`(limit)`'s candidate stream into
-    /// `n` disjoint, collectively exhaustive shards.
+    /// `n` disjoint, collectively exhaustive walks.
     ///
     /// The split runs along the *outermost* factorization dimensions:
     /// the slowest-varying counter digits form a block space (grown one
     /// dimension at a time until it holds at least `n` blocks), and
     /// shard `i` owns blocks `i, i + n, i + 2n, …` — so the union of
     /// all shards' candidates is exactly the unsharded stream, each
-    /// candidate appearing in exactly one shard.
+    /// candidate appearing in exactly one shard. `n = 1` is the
+    /// unsharded stream itself: one block holding every dimension.
     ///
-    /// Each shard yields `(`[`CandidateKey`]`, Mapping)` pairs whose
-    /// keys are **globally comparable across shards**: sorting the union
-    /// by key reproduces `iter_enumerate(limit)`'s exact sequence, and a
-    /// sharded search can therefore reduce per-shard winners with the
-    /// same deterministic `(objective, candidate position)` rule as the
+    /// Each shard yields `(`[`CandidateKey`]`, ChangeDepth, Mapping)`
+    /// triples from [`EnumerateIter::next_delta`] whose keys are
+    /// **globally comparable across shards**: sorting the union by key
+    /// reproduces `iter_enumerate(limit)`'s exact sequence, and a sharded
+    /// search can therefore reduce per-shard winners with the same
+    /// deterministic `(objective, candidate position)` rule as the
     /// unsharded parallel search — bit-identical winners at any shard
     /// count.
     ///
-    /// A finite `limit` is honored *exactly*: a cheap census pass
-    /// (candidate generation without mapping construction) counts
-    /// produced candidates per block so every shard knows which of its
-    /// candidates fall inside the global first-`limit` prefix. The
-    /// census costs one extra generation walk of at most `limit`
-    /// candidates; pass `usize::MAX` to skip it when the whole space is
-    /// wanted.
+    /// A finite `limit` is honored *exactly*. A single block starts at
+    /// stream position 0, so its rank is its position and the limit
+    /// applies to it directly. With several blocks, a census pass
+    /// (the same walk over factors only, building no mapping) first
+    /// counts produced candidates per block, so every shard knows which
+    /// of its candidates fall inside the global first-`limit` prefix.
+    /// The census costs one extra walk of at most `limit` candidates;
+    /// pass `usize::MAX` to skip it when the whole space is wanted.
     ///
-    /// Cost note: unlike the fully lazy [`iter_enumerate`], the *block*
+    /// Cost note: unlike the lazy within-block dimensions, the *block*
     /// dimensions' ordered factorization lists are materialized eagerly
     /// (block decoding needs random access across shards). The suffix
     /// only grows until it holds `n` blocks, so this is bounded by the
@@ -717,18 +678,16 @@ impl Mapspace {
     /// ends up there.
     ///
     /// [`iter_enumerate`]: Mapspace::iter_enumerate
-    pub fn shards(&self, n: usize, limit: usize) -> Vec<MapspaceShard<'_>> {
+    pub fn shards(&self, n: usize, limit: usize) -> Vec<EnumerateIter<'_>> {
         let n = n.max(1);
-        let plan = self.plan();
-        if !plan.feasible || limit == 0 {
-            return (0..n).map(|_| MapspaceShard::empty(self)).collect();
-        }
+        let plan = Arc::new(self.plan());
+        let walkable = plan.feasible && limit > 0;
         // grow the block space from the outermost dimension inward until
         // it offers at least n blocks (or swallows every dimension)
         let mut split = self.num_dims;
         let mut blocks: u64 = 1;
         let mut outer_rev: Vec<Vec<Vec<u64>>> = Vec::new();
-        while split > 0 && blocks < n as u64 {
+        while walkable && split > 0 && blocks < n as u64 {
             split -= 1;
             let list = if plan.per_dim[split].is_empty() {
                 vec![Vec::new()]
@@ -740,106 +699,66 @@ impl Mapspace {
         }
         outer_rev.reverse(); // now ordered by dim index: split, split+1, …
         let outer_lists = Arc::new(outer_rev);
-        let base = if limit < usize::MAX {
-            Some(Arc::new(self.shard_census(
-                &plan,
-                split,
-                &outer_lists,
-                blocks,
-                limit,
-            )))
-        } else {
-            None
-        };
+        // an infeasible space or a zero limit is the empty walk
+        let blocks = if walkable { blocks } else { 0 };
+        let base = (blocks > 1 && limit < usize::MAX).then(|| {
+            let mut census = self.walk(&plan, split, &outer_lists, (0..blocks).collect());
+            Arc::new(census.block_bases(limit))
+        });
         (0..n)
             .map(|s| {
-                let plan = plan.clone();
-                let inner = self.dim_streams(&plan, 0..split);
-                let num_slots = plan.slots.len();
-                MapspaceShard {
-                    space: self,
-                    plan,
+                let mut walk = self.walk(
+                    &plan,
                     split,
-                    outer_lists: Arc::clone(&outer_lists),
-                    blocks: (s as u64..blocks).step_by(n).collect(),
-                    base: base.clone(),
-                    limit,
-                    inner,
-                    cur_block: 0,
-                    cur_block_id: 0,
-                    outer_choice: Vec::new(),
-                    choice: Vec::new(),
-                    factors: vec![1u64; num_slots],
-                    prev_factors: vec![1u64; num_slots],
-                    have_prev: false,
-                    rank: 0,
-                    block_active: false,
-                    done: false,
-                }
+                    &outer_lists,
+                    (s as u64..blocks).step_by(n).collect(),
+                );
+                walk.base = base.clone();
+                walk.limit = limit;
+                walk
             })
             .collect()
     }
 
-    /// Counts produced (fanout-valid) candidates per block, in global
-    /// stream order, saturating once the cumulative count reaches
-    /// `limit`. Returns each block's *base*: the number of candidates
-    /// the unsharded stream produces before the block starts (clamped to
-    /// `limit`, so blocks entirely past the cutoff read `base == limit`).
-    fn shard_census(
+    /// A walk over `blocks` (ascending block ids) with no output limit.
+    fn walk(
         &self,
-        plan: &SlotPlan,
+        plan: &Arc<SlotPlan>,
         split: usize,
-        outer_lists: &[Vec<Vec<u64>>],
-        blocks: u64,
-        limit: usize,
-    ) -> Vec<usize> {
-        let mut inner = self.dim_streams(plan, 0..split);
-        let mut factors = vec![1u64; plan.slots.len()];
-        let mut base = Vec::with_capacity(blocks as usize);
-        let mut cum = 0usize;
-        for b in 0..blocks {
-            base.push(cum.min(limit));
-            if cum >= limit {
-                continue;
-            }
-            let outer_choice = decode_block(b, outer_lists);
-            let mut choice = vec![0usize; split];
-            loop {
-                {
-                    let (inner, choice, outer_choice) = (&inner, &choice, &outer_choice);
-                    plan.assemble(&mut factors, |d| {
-                        if d < split {
-                            inner[d].cached(choice[d])
-                        } else {
-                            &outer_lists[d - split][outer_choice[d - split]]
-                        }
-                    });
-                }
-                if self.fanout_ok(&plan.slots, &factors) {
-                    cum += 1;
-                    if cum >= limit {
-                        break;
-                    }
-                }
-                // advance the inner counter
-                let mut d = 0;
-                let wrapped = loop {
-                    if d == split {
-                        break true;
-                    }
-                    choice[d] += 1;
-                    if inner[d].get(choice[d]).is_some() {
-                        break false;
-                    }
-                    choice[d] = 0;
-                    d += 1;
-                };
-                if wrapped {
-                    break;
-                }
-            }
+        outer_lists: &Arc<Vec<Vec<Vec<u64>>>>,
+        blocks: Vec<u64>,
+    ) -> EnumerateIter<'_> {
+        // each inner stream holds >= 1 factorization: materialize index
+        // 0 so the counter's initial state is addressable
+        let inner = (0..split)
+            .map(|d| {
+                let mut stream =
+                    FactorizationStream::new(self.dim_bounds[d], plan.per_dim[d].len());
+                let first = stream.get(0);
+                debug_assert!(first.is_some());
+                stream
+            })
+            .collect();
+        let num_slots = plan.slots.len();
+        EnumerateIter {
+            space: self,
+            plan: Arc::clone(plan),
+            split,
+            outer_choice: blocks
+                .first()
+                .map_or_else(Vec::new, |&b| decode_block(b, outer_lists)),
+            outer_lists: Arc::clone(outer_lists),
+            blocks,
+            cur_block: 0,
+            base: None,
+            limit: usize::MAX,
+            inner,
+            choice: vec![0; split],
+            rank: 0,
+            factors: vec![1; num_slots],
+            prev_factors: vec![1; num_slots],
+            have_prev: false,
         }
-        base
     }
 }
 
@@ -855,168 +774,6 @@ fn decode_block(mut id: u64, outer_lists: &[Vec<Vec<u64>>]) -> Vec<usize> {
             c
         })
         .collect()
-}
-
-/// Slot layout shared by the candidate iterators.
-#[derive(Clone)]
-struct SlotPlan {
-    slots: Vec<Slot>,
-    /// Slot indices owned by each dimension.
-    per_dim: Vec<Vec<usize>>,
-    /// False when some dimension with bound > 1 has no slot.
-    feasible: bool,
-    /// Bypass configuration shared by every generated mapping.
-    keep: Arc<Vec<Vec<bool>>>,
-}
-
-impl SlotPlan {
-    /// Writes the per-slot factors for one per-dim factorization choice.
-    fn assemble<'a>(&self, factors: &mut [u64], mut pick: impl FnMut(usize) -> &'a [u64]) {
-        factors.fill(1);
-        for (d, slots) in self.per_dim.iter().enumerate() {
-            let f = pick(d);
-            for (j, &slot_idx) in slots.iter().enumerate() {
-                factors[slot_idx] = f.get(j).copied().unwrap_or(1);
-            }
-        }
-    }
-}
-
-/// Lazy deterministic mapspace enumeration
-/// (see [`Mapspace::iter_enumerate`]).
-pub struct EnumerateIter<'a> {
-    space: &'a Mapspace,
-    plan: SlotPlan,
-    /// Per-dim lazy factorization streams; the iterator walks their
-    /// cross product with a mixed-radix counter, materializing each
-    /// stream only as far as the counter has reached.
-    dims: Vec<FactorizationStream>,
-    choice: Vec<usize>,
-    /// Per-slot factor buffer, reused across candidates (the iterator
-    /// allocates nothing per candidate beyond the mapping itself).
-    factors: Vec<u64>,
-    /// Factors of the previously *yielded* candidate (delta baseline).
-    prev_factors: Vec<u64>,
-    have_prev: bool,
-    produced: usize,
-    limit: usize,
-    exhausted: bool,
-}
-
-impl EnumerateIter<'_> {
-    /// Whether the underlying mixed-radix counter has walked the whole
-    /// space (as opposed to the stream stopping at its output `limit`).
-    /// Once the stream returns `None`, this tells a hybrid mapper for
-    /// free whether its enumerated prefix *covered* the space — in which
-    /// case every sampled draw would duplicate an enumerated candidate
-    /// and the sample tail (with its `20 × samples` draw budget) can be
-    /// skipped outright.
-    ///
-    /// Caveat: also `true` for an infeasible space or a zero limit
-    /// (nothing left to walk either way); a caller distinguishing
-    /// "covered by my prefix" from "never started" must check its limit
-    /// was positive.
-    pub fn space_exhausted(&self) -> bool {
-        self.exhausted
-    }
-
-    /// Like [`Iterator::next`], additionally reporting where the yielded
-    /// candidate first differs from the previously yielded one (see
-    /// [`ChangeDepth`]). The first candidate reports
-    /// [`ChangeDepth::Reset`].
-    pub fn next_delta(&mut self) -> Option<(ChangeDepth, Mapping)> {
-        let num_dims = self.space.num_dims;
-        while !self.exhausted && self.produced < self.limit {
-            {
-                let (plan, dims, choice, factors) =
-                    (&self.plan, &self.dims, &self.choice, &mut self.factors);
-                plan.assemble(factors, |d| dims[d].cached(choice[d]));
-            }
-            let candidate =
-                self.space
-                    .mapping_from_factors(&self.plan.slots, &self.factors, &self.plan.keep);
-            // advance the mixed-radix counter, extending streams lazily
-            let mut d = 0;
-            loop {
-                if d == num_dims {
-                    self.exhausted = true;
-                    break;
-                }
-                self.choice[d] += 1;
-                if self.dims[d].get(self.choice[d]).is_some() {
-                    break;
-                }
-                self.choice[d] = 0;
-                d += 1;
-            }
-            if let Some(m) = candidate {
-                let depth = if self.have_prev {
-                    change_depth(&self.plan.slots, &self.prev_factors, &self.factors)
-                } else {
-                    ChangeDepth::Reset
-                };
-                std::mem::swap(&mut self.factors, &mut self.prev_factors);
-                self.have_prev = true;
-                self.produced += 1;
-                return Some((depth, m));
-            }
-        }
-        None
-    }
-}
-
-impl Iterator for EnumerateIter<'_> {
-    type Item = Mapping;
-
-    fn next(&mut self) -> Option<Mapping> {
-        self.next_delta().map(|(_, m)| m)
-    }
-}
-
-/// Lazy random mapspace sampling (see [`Mapspace::iter_sample`]).
-pub struct SampleIter<'a, R: Rng> {
-    space: &'a Mapspace,
-    plan: SlotPlan,
-    rng: R,
-    produced: usize,
-    attempts: usize,
-    count: usize,
-}
-
-impl<R: Rng> Iterator for SampleIter<'_, R> {
-    type Item = Mapping;
-
-    fn next(&mut self) -> Option<Mapping> {
-        if !self.plan.feasible {
-            return None;
-        }
-        let mut factors = vec![1u64; self.plan.slots.len()];
-        while self.produced < self.count && self.attempts < self.count * 20 {
-            self.attempts += 1;
-            let draws: Vec<Vec<u64>> = (0..self.space.num_dims)
-                .map(|d| {
-                    if self.plan.per_dim[d].is_empty() {
-                        Vec::new()
-                    } else {
-                        random_factorization(
-                            self.space.dim_bounds[d],
-                            self.plan.per_dim[d].len(),
-                            &mut self.rng,
-                        )
-                    }
-                })
-                .collect();
-            self.plan.assemble(&mut factors, |d| &draws[d]);
-            if let Some(m) =
-                self.space
-                    .mapping_from_factors(&self.plan.slots, &factors, &self.plan.keep)
-            {
-                self.produced += 1;
-                return Some(m);
-            }
-        }
-        None
-    }
 }
 
 /// Globally comparable position of a sharded candidate in the unsharded
@@ -1050,193 +807,213 @@ impl CandidateKey {
     }
 }
 
-/// One shard of a sharded enumeration: a disjoint sub-stream of
-/// [`Mapspace::iter_enumerate`]'s candidates tagged with globally
-/// comparable [`CandidateKey`]s (see [`Mapspace::shards`]).
-pub struct MapspaceShard<'a> {
+/// Slot layout shared by the candidate iterators.
+struct SlotPlan {
+    slots: Vec<Slot>,
+    /// Slot indices owned by each dimension.
+    per_dim: Vec<Vec<usize>>,
+    /// False when some dimension with bound > 1 has no slot.
+    feasible: bool,
+    /// Bypass configuration shared by every generated mapping.
+    keep: Arc<Vec<Vec<bool>>>,
+}
+
+impl SlotPlan {
+    /// Writes the per-slot factors for one per-dim factorization choice.
+    fn assemble<'a>(&self, factors: &mut [u64], mut pick: impl FnMut(usize) -> &'a [u64]) {
+        factors.fill(1);
+        for (d, slots) in self.per_dim.iter().enumerate() {
+            let f = pick(d);
+            for (j, &slot_idx) in slots.iter().enumerate() {
+                factors[slot_idx] = f.get(j).copied().unwrap_or(1);
+            }
+        }
+    }
+}
+
+/// Lazy deterministic walk over a mapspace's factorization cross
+/// product: the whole stream ([`Mapspace::iter_enumerate`]) or one shard
+/// of it ([`Mapspace::shards`]).
+///
+/// The walk visits its blocks in ascending order. Within a block a
+/// mixed-radix counter runs over the within-block dimensions' lazy
+/// factorization streams (dimension 0 fastest), materializing each
+/// stream only as far as the counter has reached.
+pub struct EnumerateIter<'a> {
     space: &'a Mapspace,
-    plan: SlotPlan,
-    /// Dim index where the block (suffix) space begins; dims below it
-    /// form the within-block cross product.
+    /// Slot layout, shared by the walks of one `shards` call.
+    plan: Arc<SlotPlan>,
+    /// Dim index where the block (suffix) dims begin; dims below it
+    /// form the within-block counter.
     split: usize,
-    /// Eager factorization lists of the suffix dims (shared by shards).
+    /// Eager factorization lists of the block dims (shared by shards).
     outer_lists: Arc<Vec<Vec<Vec<u64>>>>,
-    /// Block ids owned by this shard, ascending.
+    /// Block ids this walk owns, ascending; `cur_block` indexes the one
+    /// being walked.
     blocks: Vec<u64>,
-    /// Per-block global base index from the census (`None`: no output
-    /// limit was requested).
+    cur_block: usize,
+    /// Per-block global base from the census; `None` reads every base
+    /// as 0, exact for a single block or an unlimited walk.
     base: Option<Arc<Vec<usize>>>,
     limit: usize,
     /// Lazy factorization streams of the within-block dims.
     inner: Vec<FactorizationStream>,
-    cur_block: usize,
-    cur_block_id: u64,
+    /// The current block's suffix choices and within-block counter.
     outer_choice: Vec<usize>,
     choice: Vec<usize>,
-    /// Per-slot factor buffer, reused across candidates.
+    /// Produced candidates so far in the current block.
+    rank: u64,
+    /// Per-slot factor buffer, reused across candidates (the walk
+    /// allocates nothing per candidate beyond the mapping itself).
     factors: Vec<u64>,
-    /// Factors of the previously yielded candidate (delta baseline).
+    /// Factors of the previously *yielded* candidate (delta baseline).
     prev_factors: Vec<u64>,
     have_prev: bool,
-    rank: u64,
-    block_active: bool,
-    done: bool,
 }
 
-impl<'a> MapspaceShard<'a> {
-    /// A shard holding no candidates (infeasible space or zero limit).
-    fn empty(space: &'a Mapspace) -> Self {
-        MapspaceShard {
-            space,
-            plan: space.plan(),
-            split: 0,
-            outer_lists: Arc::new(Vec::new()),
-            blocks: Vec::new(),
-            base: None,
-            limit: 0,
-            inner: Vec::new(),
-            cur_block: 0,
-            cur_block_id: 0,
-            outer_choice: Vec::new(),
-            choice: Vec::new(),
-            factors: Vec::new(),
-            prev_factors: Vec::new(),
-            have_prev: false,
-            rank: 0,
-            block_active: false,
-            done: true,
+impl EnumerateIter<'_> {
+    /// Whether the walk's mixed-radix counter has wrapped through every
+    /// block it owns (as opposed to the stream stopping at its output
+    /// `limit`). Once the unsharded stream returns `None`, this tells a
+    /// hybrid mapper for free whether its enumerated prefix *covered*
+    /// the space — in which case every sampled draw would duplicate an
+    /// enumerated candidate and the sample tail (with its
+    /// `20 × samples` draw budget) can be skipped outright.
+    ///
+    /// Caveat: also `true` for an infeasible space or a zero limit
+    /// (nothing left to walk either way); a caller distinguishing
+    /// "covered by my prefix" from "never started" must check its limit
+    /// was positive.
+    pub fn space_exhausted(&self) -> bool {
+        self.cur_block >= self.blocks.len()
+    }
+
+    /// The next candidate with its globally comparable [`CandidateKey`]
+    /// and the position where it first differs from the walk's
+    /// previously yielded candidate (see [`ChangeDepth`]). The walk's
+    /// first candidate reports [`ChangeDepth::Reset`] — shard seams
+    /// never assume a prefix, so a sharded evaluation stays
+    /// bit-identical to the unsharded one.
+    pub fn next_delta(&mut self) -> Option<(CandidateKey, ChangeDepth, Mapping)> {
+        loop {
+            let (key, valid) = self.step()?;
+            if !valid {
+                continue;
+            }
+            let m = self.space.mapping_from_factors(&self.plan, &self.factors);
+            let depth = if self.have_prev {
+                change_depth(&self.plan.slots, &self.prev_factors, &self.factors)
+            } else {
+                ChangeDepth::Reset
+            };
+            std::mem::swap(&mut self.factors, &mut self.prev_factors);
+            self.have_prev = true;
+            return Some((key, depth, m));
         }
     }
 
-    /// Like [`Iterator::next`], additionally reporting where the yielded
-    /// candidate first differs from the shard's previously yielded one
-    /// (see [`ChangeDepth`]). The shard's first candidate reports
-    /// [`ChangeDepth::Reset`] — shard seams never assume a prefix, so a
-    /// sharded evaluation stays bit-identical to the unsharded one.
-    pub fn next_delta(&mut self) -> Option<(CandidateKey, ChangeDepth, Mapping)> {
-        let (key, m) = self.next_inner()?;
-        let depth = if self.have_prev {
-            change_depth(&self.plan.slots, &self.prev_factors, &self.factors)
-        } else {
-            ChangeDepth::Reset
-        };
-        std::mem::swap(&mut self.factors, &mut self.prev_factors);
-        self.have_prev = true;
-        Some((key, depth, m))
-    }
-
-    /// Produces the next candidate, leaving its factors in
-    /// `self.factors` for the delta computation.
-    fn next_inner(&mut self) -> Option<(CandidateKey, Mapping)> {
-        if self.done {
+    /// Assembles the counter's current position into `self.factors`,
+    /// then advances the counter. Returns the position's key and whether
+    /// it respects the fanout budgets; `None` once every owned block is
+    /// walked or the next candidate would fall at or past `limit`.
+    fn step(&mut self) -> Option<(CandidateKey, bool)> {
+        let &block = self.blocks.get(self.cur_block)?;
+        let base = self.base.as_ref().map_or(0, |b| b[block as usize]);
+        if base + self.rank as usize >= self.limit {
             return None;
         }
-        loop {
-            if !self.block_active {
-                let Some(&b) = self.blocks.get(self.cur_block) else {
-                    self.done = true;
-                    return None;
-                };
-                if let Some(base) = &self.base {
-                    // bases are nondecreasing in the block id: once one
-                    // of this shard's blocks starts at the cutoff, all
-                    // its later blocks do too
-                    if base[b as usize] >= self.limit {
-                        self.done = true;
-                        return None;
-                    }
+        {
+            let (inner, choice, outer_lists, outer_choice, split) = (
+                &self.inner,
+                &self.choice,
+                &self.outer_lists,
+                &self.outer_choice,
+                self.split,
+            );
+            self.plan.assemble(&mut self.factors, |d| {
+                if d < split {
+                    inner[d].cached(choice[d])
+                } else {
+                    &outer_lists[d - split][outer_choice[d - split]]
                 }
-                self.cur_block_id = b;
-                self.outer_choice = decode_block(b, &self.outer_lists);
-                self.choice = vec![0usize; self.split];
-                self.rank = 0;
-                self.block_active = true;
-            }
-            {
-                let (plan, inner, choice, outer_choice, outer_lists, split, factors) = (
-                    &self.plan,
-                    &self.inner,
-                    &self.choice,
-                    &self.outer_choice,
-                    &self.outer_lists,
-                    self.split,
-                    &mut self.factors,
-                );
-                plan.assemble(factors, |d| {
-                    if d < split {
-                        inner[d].cached(choice[d])
-                    } else {
-                        &outer_lists[d - split][outer_choice[d - split]]
-                    }
-                });
-            }
-            let candidate =
-                self.space
-                    .mapping_from_factors(&self.plan.slots, &self.factors, &self.plan.keep);
-            // advance the within-block counter
-            let mut d = 0;
-            let wrapped = loop {
-                if d == self.split {
-                    break true;
-                }
-                self.choice[d] += 1;
-                if self.inner[d].get(self.choice[d]).is_some() {
-                    break false;
-                }
-                self.choice[d] = 0;
-                d += 1;
-            };
-            if wrapped {
-                self.block_active = false;
-                self.cur_block += 1;
-            }
-            if let Some(m) = candidate {
-                if let Some(base) = &self.base {
-                    // exact global output-limit semantics: this
-                    // candidate's unsharded stream position
-                    let global = base[self.cur_block_id as usize] + self.rank as usize;
-                    if global >= self.limit {
-                        // every remaining candidate of this shard sits
-                        // even later in the stream
-                        self.done = true;
-                        return None;
-                    }
-                }
-                let key = CandidateKey {
-                    block: self.cur_block_id,
-                    rank: self.rank,
-                };
-                self.rank += 1;
-                return Some((key, m));
+            });
+        }
+        let key = CandidateKey {
+            block,
+            rank: self.rank,
+        };
+        let valid = self.space.fanout_ok(&self.plan.slots, &self.factors);
+        if valid {
+            self.rank += 1;
+        }
+        if self.advance() {
+            self.cur_block += 1;
+            self.rank = 0;
+            if let Some(&next) = self.blocks.get(self.cur_block) {
+                self.outer_choice = decode_block(next, &self.outer_lists);
             }
         }
+        Some((key, valid))
+    }
+
+    /// Advances the within-block counter, extending streams lazily;
+    /// `true` when it wrapped back to its first position.
+    fn advance(&mut self) -> bool {
+        for d in 0..self.split {
+            self.choice[d] += 1;
+            if self.inner[d].get(self.choice[d]).is_some() {
+                return false;
+            }
+            self.choice[d] = 0;
+        }
+        true
+    }
+
+    /// Each block's *base*: the number of candidates the unsharded
+    /// stream produces before the block starts, clamped to `limit`
+    /// (blocks entirely past the cutoff read `base == limit`). `self`
+    /// must walk every block, unlimited.
+    fn block_bases(&mut self, limit: usize) -> Vec<usize> {
+        let blocks = self.blocks.len();
+        let mut base = Vec::with_capacity(blocks);
+        let mut produced = 0usize;
+        while produced < limit {
+            let Some((key, valid)) = self.step() else {
+                break;
+            };
+            // every block holds at least one position, so block b's
+            // first step arrives when b bases are known
+            if base.len() as u64 == key.block {
+                base.push(produced);
+            }
+            produced += usize::from(valid);
+        }
+        base.resize(blocks, limit);
+        base
     }
 }
 
-impl Iterator for MapspaceShard<'_> {
-    type Item = (CandidateKey, Mapping);
+impl Iterator for EnumerateIter<'_> {
+    type Item = Mapping;
 
-    fn next(&mut self) -> Option<(CandidateKey, Mapping)> {
-        self.next_delta().map(|(key, _, m)| (key, m))
+    fn next(&mut self) -> Option<Mapping> {
+        self.next_delta().map(|(_, _, m)| m)
     }
 }
 
-/// Lazy low-discrepancy mapspace sampling
-/// (see [`Mapspace::iter_sample_halton`]).
-pub struct HaltonSampleIter<'a> {
+/// Lazy mapspace sampling ([`Mapspace::iter_sample`],
+/// [`Mapspace::iter_sample_halton`]); the draw `D` picks each
+/// dimension's factors.
+pub struct SampleIter<'a, D> {
     space: &'a Mapspace,
     plan: SlotPlan,
-    /// Per-dim prime factors (with multiplicity) of the dimension bound.
-    dim_primes: Vec<Vec<u64>>,
-    /// One distinct Halton base per `(dim, prime)` decision.
-    bases: Vec<u64>,
-    offset: u64,
+    draw: D,
     produced: usize,
     attempts: usize,
     count: usize,
 }
 
-impl Iterator for HaltonSampleIter<'_> {
+impl<D: draw::Draw> Iterator for SampleIter<'_, D> {
     type Item = Mapping;
 
     fn next(&mut self) -> Option<Mapping> {
@@ -1245,37 +1022,69 @@ impl Iterator for HaltonSampleIter<'_> {
         }
         let mut factors = vec![1u64; self.plan.slots.len()];
         while self.produced < self.count && self.attempts < self.count * 20 {
-            let index = self.offset + self.attempts as u64;
+            let attempt = self.attempts;
             self.attempts += 1;
-            let mut base_idx = 0;
             let draws: Vec<Vec<u64>> = (0..self.space.num_dims)
-                .map(|d| {
-                    let k = self.plan.per_dim[d].len();
-                    if k == 0 {
-                        return Vec::new();
-                    }
-                    let mut f = vec![1u64; k];
-                    for &p in &self.dim_primes[d] {
-                        // one low-discrepancy coordinate per prime-factor
-                        // placement: stratified slot assignment
-                        let h = radical_inverse(index, self.bases[base_idx]);
-                        base_idx += 1;
-                        let pos = ((h * k as f64) as usize).min(k - 1);
-                        f[pos] *= p;
-                    }
-                    f
+                .map(|d| match self.plan.per_dim[d].len() {
+                    0 => Vec::new(),
+                    k => self.draw.factors(attempt, d, self.space.dim_bounds[d], k),
                 })
                 .collect();
             self.plan.assemble(&mut factors, |d| &draws[d]);
-            if let Some(m) =
-                self.space
-                    .mapping_from_factors(&self.plan.slots, &factors, &self.plan.keep)
-            {
+            if self.space.fanout_ok(&self.plan.slots, &factors) {
                 self.produced += 1;
-                return Some(m);
+                return Some(self.space.mapping_from_factors(&self.plan, &factors));
             }
         }
         None
+    }
+}
+
+/// The per-dimension draws of [`SampleIter`].
+mod draw {
+    use super::{radical_inverse, random_factorization};
+    use rand::Rng;
+
+    /// How a sampler draws one dimension's factors.
+    pub trait Draw {
+        /// An ordered factorization of `bound` into `k >= 1` factors for
+        /// dimension `d` in draw number `attempt`; dimensions are drawn
+        /// in order within an attempt.
+        fn factors(&mut self, attempt: usize, d: usize, bound: u64, k: usize) -> Vec<u64>;
+    }
+
+    /// Independent draws from a seeded RNG.
+    pub struct Uniform<R>(pub(super) R);
+
+    impl<R: Rng> Draw for Uniform<R> {
+        fn factors(&mut self, _attempt: usize, _d: usize, bound: u64, k: usize) -> Vec<u64> {
+            random_factorization(bound, k, &mut self.0)
+        }
+    }
+
+    /// Low-discrepancy Halton draws.
+    pub struct Halton {
+        /// Per dim, `(prime factor, Halton base)` for each prime factor
+        /// (with multiplicity) of its bound: one distinct base per
+        /// `(dim, prime)` decision.
+        pub(super) dims: Vec<Vec<(u64, u64)>>,
+        /// Sequence index of draw 0.
+        pub(super) offset: u64,
+    }
+
+    impl Draw for Halton {
+        fn factors(&mut self, attempt: usize, d: usize, _bound: u64, k: usize) -> Vec<u64> {
+            let index = self.offset + attempt as u64;
+            let mut f = vec![1u64; k];
+            for &(p, base) in &self.dims[d] {
+                // one low-discrepancy coordinate per prime-factor
+                // placement: stratified slot assignment
+                let h = radical_inverse(index, base);
+                let pos = ((h * k as f64) as usize).min(k - 1);
+                f[pos] *= p;
+            }
+            f
+        }
     }
 }
 
@@ -1516,9 +1325,9 @@ mod tests {
         assert!(first.is_some());
         let eager = factorizations(64, 2, None).len();
         assert!(
-            it.dims[0].materialized() <= 2,
+            it.inner[0].materialized() <= 2,
             "one candidate materialized {} of {} factorizations",
-            it.dims[0].materialized(),
+            it.inner[0].materialized(),
             eager
         );
     }
@@ -1532,8 +1341,9 @@ mod tests {
             let reference: Vec<Mapping> = space.iter_enumerate(limit.min(1_000_000)).collect();
             for n in [1, 2, 3, 7] {
                 let mut tagged: Vec<(CandidateKey, Mapping)> = Vec::new();
-                for shard in space.shards(n, limit) {
-                    tagged.extend(shard);
+                for mut shard in space.shards(n, limit) {
+                    tagged
+                        .extend(std::iter::from_fn(|| shard.next_delta()).map(|(k, _, m)| (k, m)));
                 }
                 // keys are unique (disjointness)
                 let mut keys: Vec<CandidateKey> = tagged.iter().map(|(k, _)| *k).collect();
@@ -1556,8 +1366,35 @@ mod tests {
             .with_temporal_order(0, vec![])
             .with_temporal_order(1, vec![]);
         for shard in space.shards(3, 100) {
+            assert!(shard.space_exhausted());
             assert_eq!(shard.count(), 0);
         }
+        // a zero limit is the empty walk too
+        let feasible = Mapspace::all_temporal(&e, &a);
+        for shard in feasible.shards(3, 0) {
+            assert!(shard.space_exhausted());
+            assert_eq!(shard.count(), 0);
+        }
+    }
+
+    #[test]
+    fn unsharded_stream_is_the_one_block_walk() {
+        let e = Einsum::matmul(8, 8, 8);
+        let a = arch();
+        let space = Mapspace::all_temporal(&e, &a).with_spatial_dims(1, vec![DimId(1)]);
+        for limit in [1, 7, 100, usize::MAX] {
+            let mut it = space.iter_enumerate(limit);
+            // one block at position 0: no census, keys are positions
+            assert!(it.base.is_none() && it.blocks == [0]);
+            let mut i = 0;
+            while let Some((key, _, _)) = it.next_delta() {
+                assert_eq!(key, CandidateKey { block: 0, rank: i });
+                i += 1;
+            }
+            assert_eq!(i as usize, space.enumerate(limit).len());
+        }
+        // several blocks with a finite limit take the census
+        assert!(space.shards(2, 7).iter().all(|s| s.base.is_some()));
     }
 
     #[test]

@@ -47,6 +47,12 @@ pub enum WireError {
     },
     /// A string payload was not valid UTF-8.
     BadUtf8,
+    /// Decoded parts that must agree did not (e.g. a mapping's loop-nest
+    /// and keep-matrix level counts).
+    Inconsistent {
+        /// What was being decoded.
+        what: &'static str,
+    },
 }
 
 impl fmt::Display for WireError {
@@ -58,6 +64,7 @@ impl fmt::Display for WireError {
                 write!(f, "oversized wire length {len} in {what}")
             }
             WireError::BadUtf8 => write!(f, "wire string is not valid UTF-8"),
+            WireError::Inconsistent { what } => write!(f, "inconsistent wire payload in {what}"),
         }
     }
 }
@@ -192,6 +199,18 @@ impl<'a> WireReader<'a> {
         Ok(len as usize)
     }
 
+    /// Reads a `u64` element count whose elements each take at least
+    /// `min_bytes` bytes, failing as truncated when the rest of the
+    /// payload cannot hold that many — so a count is safe to
+    /// preallocate for.
+    pub fn get_count(&mut self, what: &'static str, min_bytes: usize) -> Result<usize, WireError> {
+        let count = self.get_len(what)?;
+        if count.saturating_mul(min_bytes) > self.remaining() {
+            return Err(WireError::Truncated { what });
+        }
+        Ok(count)
+    }
+
     /// Reads an `f64` from its raw bits.
     pub fn get_f64_bits(&mut self, what: &'static str) -> Result<f64, WireError> {
         Ok(f64::from_bits(self.get_u64(what)?))
@@ -242,10 +261,12 @@ pub fn encode_mapping(w: &mut WireWriter, mapping: &Mapping) {
 
 /// Decodes a mapping encoded by [`encode_mapping`].
 pub fn decode_mapping(r: &mut WireReader<'_>) -> Result<Mapping, WireError> {
-    let levels = r.get_len("mapping.nests")?;
+    // a nest or keep row is at least its 8-byte length; a loop is a
+    // dim, a bound and a kind byte; a keep bit is one byte
+    let levels = r.get_count("mapping.nests", 8)?;
     let mut nests = Vec::with_capacity(levels);
     for _ in 0..levels {
-        let loops = r.get_len("mapping.nest")?;
+        let loops = r.get_count("mapping.nest", 17)?;
         let mut nest = Vec::with_capacity(loops);
         for _ in 0..loops {
             let dim = DimId(r.get_len("loop.dim")?);
@@ -264,10 +285,15 @@ pub fn decode_mapping(r: &mut WireReader<'_>) -> Result<Mapping, WireError> {
         }
         nests.push(nest);
     }
-    let rows = r.get_len("mapping.keep")?;
+    let rows = r.get_count("mapping.keep", 8)?;
+    if rows != levels {
+        return Err(WireError::Inconsistent {
+            what: "mapping.keep",
+        });
+    }
     let mut keep = Vec::with_capacity(rows);
     for _ in 0..rows {
-        let cols = r.get_len("mapping.keep_row")?;
+        let cols = r.get_count("mapping.keep_row", 1)?;
         let mut row = Vec::with_capacity(cols);
         for _ in 0..cols {
             row.push(r.get_bool("mapping.keep_bit")?);
@@ -420,6 +446,46 @@ mod tests {
         assert_eq!(decode_stats(&mut r).unwrap(), stats);
         assert_eq!(decode_key(&mut r).unwrap(), key);
         assert_eq!(decode_key(&mut r).unwrap(), sampled);
+    }
+
+    #[test]
+    fn mismatched_nest_and_keep_levels_are_an_error() {
+        // one (empty) loop nest but no keep row: `Mapping::new` would
+        // panic on the level mismatch
+        let mut w = WireWriter::new();
+        w.put_usize(1);
+        w.put_usize(0);
+        w.put_usize(0);
+        let bytes = w.into_bytes();
+        assert_eq!(
+            decode_mapping(&mut WireReader::new(&bytes)).unwrap_err(),
+            WireError::Inconsistent {
+                what: "mapping.keep"
+            }
+        );
+    }
+
+    #[test]
+    fn counts_beyond_the_payload_are_truncation() {
+        // a count of 1000 17-byte loops with 16 bytes left fails before
+        // anything is allocated for it
+        let mut w = WireWriter::new();
+        w.put_usize(1000);
+        w.put_u64(1);
+        w.put_u64(2);
+        let bytes = w.into_bytes();
+        let mut r = WireReader::new(&bytes);
+        assert_eq!(
+            r.get_count("loops", 17).unwrap_err(),
+            WireError::Truncated { what: "loops" }
+        );
+        // two 8-byte items fit exactly
+        let mut w = WireWriter::new();
+        w.put_usize(2);
+        w.put_u64(1);
+        w.put_u64(2);
+        let bytes = w.into_bytes();
+        assert_eq!(WireReader::new(&bytes).get_count("words", 8).unwrap(), 2);
     }
 
     #[test]

@@ -2,8 +2,66 @@
 
 use proptest::prelude::*;
 use sparseloop_arch::{ArchitectureBuilder, ComputeSpec, StorageLevel};
-use sparseloop_mapping::{factorizations, ChangeDepth, Mapspace};
+use sparseloop_mapping::{factorizations, ChangeDepth, Loop, Mapping, Mapspace};
 use sparseloop_tensor::einsum::{DimId, Einsum};
+
+/// Every candidate of a 2-level matmul mapspace whose dims may all tile
+/// temporally at both levels and whose dim 1 may also go spatial below
+/// level 1 — `Mapspace::all_temporal(..).with_spatial_dims(1, [1])` —
+/// in enumeration order, built from eager `factorizations` lists
+/// without the mapspace's own machinery.
+///
+/// The loop slots, outermost first, are level 0's temporal m, n, k, then
+/// level 1's spatial n and temporal m, n, k. Each dim's factorization
+/// list splits its bound over its slots in that order; the candidates
+/// are the lists' mixed-radix product with dim 0 varying fastest, minus
+/// those whose spatial factor exceeds `fanout`. Factor-1 loops are
+/// elided.
+fn naive_enumeration(bounds: &[u64], fanout: u64) -> Vec<Mapping> {
+    let lists: Vec<Vec<Vec<u64>>> = bounds
+        .iter()
+        .enumerate()
+        .map(|(d, &b)| factorizations(b, if d == 1 { 3 } else { 2 }, None))
+        .collect();
+    let mut out = Vec::new();
+    let mut choice = [0usize; 3];
+    loop {
+        let [fm, fn_, fk] = [0, 1, 2].map(|d| &lists[d][choice[d]]);
+        if fn_[1] <= fanout {
+            let level0 = [(0, fm[0]), (1, fn_[0]), (2, fk[0])];
+            let level1 = [(0, fm[1]), (1, fn_[2]), (2, fk[1])];
+            let temporal = |loops: &[(usize, u64)]| -> Vec<Loop> {
+                loops
+                    .iter()
+                    .filter(|(_, f)| *f > 1)
+                    .map(|&(d, f)| Loop::temporal(DimId(d), f))
+                    .collect()
+            };
+            let mut inner: Vec<Loop> = Vec::new();
+            if fn_[1] > 1 {
+                inner.push(Loop::spatial(DimId(1), fn_[1]));
+            }
+            inner.extend(temporal(&level1));
+            out.push(Mapping::new(
+                vec![temporal(&level0), inner],
+                vec![vec![true; 3]; 2],
+            ));
+        }
+        // advance the mixed-radix counter, dim 0 fastest
+        let mut d = 0;
+        loop {
+            if d == 3 {
+                return out;
+            }
+            choice[d] += 1;
+            if choice[d] < lists[d].len() {
+                break;
+            }
+            choice[d] = 0;
+            d += 1;
+        }
+    }
+}
 
 proptest! {
     /// Every ordered factorization multiplies back to n, and the count of
@@ -73,11 +131,14 @@ proptest! {
     }
 
     /// Sharding is a disjoint, collectively exhaustive partition of the
-    /// enumeration stream: for n in {1, 2, 3, 7}, the union of shard
-    /// candidates (sorted by their globally comparable keys) equals the
-    /// unsharded `iter_enumerate` sequence exactly — same set, same
-    /// order, no duplicates — at output limits both above and below the
-    /// space size.
+    /// enumeration, checked against a naive reference (see
+    /// [`naive_enumeration`]): `iter_enumerate(limit)` yields exactly its
+    /// first `limit` candidates, and for n in {1, 2, 3, 7} the union of
+    /// the shard walks (sorted by their globally comparable keys, no key
+    /// twice) is that same sequence — at output limits both above and below
+    /// the space size. `space_exhausted()` is true whenever the space
+    /// holds fewer than `limit` candidates and false whenever it holds
+    /// more.
     #[test]
     fn shards_disjoint_and_exhaustive(
         m in 1u64..9, n in 1u64..9, k in 1u64..9,
@@ -93,11 +154,23 @@ proptest! {
             .unwrap();
         let space = Mapspace::all_temporal(&e, &arch)
             .with_spatial_dims(1, vec![DimId(1)]);
-        let reference: Vec<_> = space.iter_enumerate(limit).collect();
+        let all = naive_enumeration(&e.bounds(), fanout);
+        let reference = &all[..all.len().min(limit)];
+        let mut it = space.iter_enumerate(limit);
+        let streamed: Vec<Mapping> = std::iter::from_fn(|| it.next_delta())
+            .map(|(_, _, mapping)| mapping)
+            .collect();
+        prop_assert_eq!(&streamed[..], reference, "limit={}", limit);
+        if all.len() < limit {
+            prop_assert!(it.space_exhausted(), "{} < limit {}", all.len(), limit);
+        }
+        if all.len() > limit {
+            prop_assert!(!it.space_exhausted(), "{} > limit {}", all.len(), limit);
+        }
         for shards in [1usize, 2, 3, 7] {
             let mut tagged: Vec<_> = Vec::new();
-            for shard in space.shards(shards, limit) {
-                tagged.extend(shard);
+            for mut shard in space.shards(shards, limit) {
+                tagged.extend(std::iter::from_fn(|| shard.next_delta()).map(|(key, _, m)| (key, m)));
             }
             let mut keys: Vec<_> = tagged.iter().map(|(key, _)| *key).collect();
             keys.sort();
@@ -105,7 +178,7 @@ proptest! {
             prop_assert_eq!(keys.len(), tagged.len(), "duplicate keys at shards={}", shards);
             tagged.sort_by_key(|(key, _)| *key);
             let merged: Vec<_> = tagged.into_iter().map(|(_, mapping)| mapping).collect();
-            prop_assert_eq!(&merged, &reference, "shards={} limit={}", shards, limit);
+            prop_assert_eq!(&merged[..], reference, "shards={} limit={}", shards, limit);
         }
     }
 
@@ -165,7 +238,7 @@ proptest! {
         let mut it = space.iter_enumerate(limit);
         let mut prev: Option<sparseloop_mapping::Mapping> = None;
         let mut first = true;
-        while let Some((depth, mapping)) = it.next_delta() {
+        while let Some((_, depth, mapping)) = it.next_delta() {
             match (depth, &prev) {
                 (ChangeDepth::Reset, _) => {
                     prop_assert!(first, "Reset only on the stream's first candidate");

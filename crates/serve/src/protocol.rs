@@ -426,7 +426,8 @@ pub fn decode_payload(bytes: &[u8]) -> Result<Frame, ProtocolError> {
         },
         4 => {
             let id = r.get_u64("done.id")?;
-            let n = r.get_len("done.count")?;
+            // each result is at least its one-byte tag
+            let n = r.get_count("done.count", 1)?;
             let mut results = Vec::with_capacity(n);
             for _ in 0..n {
                 results.push(decode_exp_result(&mut r)?);
@@ -791,6 +792,38 @@ mod tests {
             }
             other => panic!("expected mid-frame EOF error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn malformed_task_done_payloads_are_errors_not_panics() {
+        // a winner whose mapping has one loop nest but no keep row
+        let mut w = WireWriter::new();
+        w.put_u8(4);
+        w.put_u64(42);
+        w.put_usize(1);
+        w.put_u8(2);
+        w.put_f64_bits(1.5);
+        encode_key(&mut w, &CandidateKey { block: 0, rank: 0 });
+        encode_stats(&mut w, &SearchStats::default());
+        w.put_usize(1);
+        w.put_usize(0);
+        w.put_usize(0);
+        assert!(matches!(
+            decode_payload(&w.into_bytes()),
+            Err(ProtocolError::Wire(WireError::Inconsistent { .. }))
+        ));
+        // a result count the payload cannot hold
+        let mut w = WireWriter::new();
+        w.put_u8(4);
+        w.put_u64(42);
+        w.put_usize(1 << 20);
+        w.put_u8(0);
+        assert!(matches!(
+            decode_payload(&w.into_bytes()),
+            Err(ProtocolError::Wire(WireError::Truncated {
+                what: "done.count"
+            }))
+        ));
     }
 
     #[test]
